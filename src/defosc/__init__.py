@@ -5,9 +5,7 @@ from .algebra import (
     RadiusEstimate,
     StructureTable,
     estimate_radius,
-    log_f_factorial,
     make_spec,
-    phi_closed_form,
     phi_closed_sequence,
     phi_recurrence,
 )
@@ -23,7 +21,7 @@ from .coherent import (
     uncertainty_product,
 )
 from .expr import Expression, evaluate, parse, unparse
-from .fock import CertificationReport, FockRep, build_rep, certify, expectation
+from .fock import CertificationReport, FockRep, build_rep, certify
 from .moments import (
     CarlemanDiagnostic,
     MomentReport,
@@ -59,13 +57,10 @@ __all__ = [
     "eigen_residual",
     "estimate_radius",
     "evaluate",
-    "expectation",
-    "log_f_factorial",
     "make_spec",
     "make_state",
     "overlap",
     "parse",
-    "phi_closed_form",
     "phi_closed_sequence",
     "phi_recurrence",
     "photon_statistics",

@@ -7,14 +7,14 @@ sequence phi is fixed by ``phi(0) = 0`` and the recurrence
 
 The structure function is ``f(n) = |phi(n)|`` together with the unit
 phase ``c(n) = phi(n) / |phi(n)|``.  This module tabulates phi, f, the
-phases, and the log-domain deformed factorials, detects degeneracies
+phases, and the log-domain deformed factorial, detects degeneracies
 (``phi(n0) = 0`` truncating the ladder), evaluates the equivalent
 product form of phi as an independent cross-check, and estimates the
 radius of convergence of the deformed exponential series.
 
-All factorial-like quantities are kept in log magnitude (plus an
-accumulated phase) because ``f(n)!`` leaves double-precision range near
-n = 170 already for the undeformed oscillator.  The product form uses
+The deformed factorial is kept in log magnitude because ``f(n)!``
+leaves double-precision range near n = 170 already for the undeformed
+oscillator.  The product form uses
 exact power-of-two scaling instead, so the cross-check shares no code
 path with the recurrence.
 """
@@ -85,7 +85,7 @@ def make_spec(name: str, f_source: str, g_source: str, params: Bindings | None =
 
 
 class StructureTable:
-    """Lazily extended tabulation of phi(n), f(n), phases and factorials.
+    """Lazily extended tabulation of phi(n), f(n), phases and log f(n)!.
 
     The table is grown single-threaded via :meth:`ensure`; tabulated
     entries never change afterwards, so concurrent reads are safe.
@@ -98,8 +98,7 @@ class StructureTable:
     * ``f(n)``       the nonnegative structure-function value;
     * ``phase(n)``   unit modulus, 1 by convention where phi(n) = 0;
     * ``log f(n)!``  running log of the deformed factorial, -inf once
-                     a degeneracy makes the product vanish;
-    * ``log|[F(k)]!|`` and its accumulated phase, for reporting.
+                     a degeneracy makes the product vanish.
 
     ``degeneracy`` is the smallest n0 >= 1 with phi(n0) = 0, if any; the
     Fock ladder is then n0-dimensional and downstream series are finite.
@@ -116,8 +115,6 @@ class StructureTable:
         self._f: list[float] = [0.0]
         self._phase: list[complex] = [complex(1.0)]
         self._log_f_fact: list[float] = [0.0]
-        self._log_F_fact: list[float] = [0.0]
-        self._F_fact_phase: list[complex] = [complex(1.0)]
         self._degeneracy: int | None = None
         self._overflow_at: int | None = None
         self._radius_probe_depth = radius_probe_depth
@@ -174,11 +171,6 @@ class StructureTable:
         self._f.append(f)
         self._phase.append(phase)
         self._log_f_fact.append(self._log_f_fact[-1] + (math.log(f) if f > 0.0 else -math.inf))
-        # [F(k)]! collects factors F(1)..F(k); nothing to add at k = 0
-        if k >= 1:
-            mag_f = abs(fk)
-            self._log_F_fact.append(self._log_F_fact[-1] + (math.log(mag_f) if mag_f > 0.0 else -math.inf))
-            self._F_fact_phase.append(self._F_fact_phase[-1] * (fk / mag_f if mag_f > 0.0 else complex(1.0)))
 
     # -- accessors ---------------------------------------------------------
 
@@ -199,25 +191,6 @@ class StructureTable:
         self.ensure(n)
         return self._log_f_fact[n]
 
-    def f_factorial(self, n: int) -> float:
-        """Linear-domain f(n)!; raises if it exceeds double range."""
-        log_value = self.log_f_factorial(n)
-        try:
-            return math.exp(log_value)
-        except OverflowError:
-            raise StructureOverflowError(n) from None
-
-    def log_F_factorial(self, k: int) -> float:
-        """log |[F(k)]!| with [F(0)]! = 1; the factor F(k) enters at level k+1."""
-        if k >= 1:
-            self.ensure(k + 1)
-        return self._log_F_fact[k]
-
-    def F_factorial_phase(self, k: int) -> complex:
-        if k >= 1:
-            self.ensure(k + 1)
-        return self._F_fact_phase[k]
-
     def effective_dimension(self, requested: int) -> int:
         """Largest usable ladder index: requested, clamped below a degeneracy."""
         if self._degeneracy is not None and self._degeneracy <= requested:
@@ -226,18 +199,14 @@ class StructureTable:
 
     # -- radius ------------------------------------------------------------
 
-    def radius(self, probe_depth: int | None = None, tol: float = DEFAULT_RADIUS_TOL) -> "RadiusEstimate":
-        """Radius of convergence of the deformed exponential.
+    def radius(self) -> "RadiusEstimate":
+        """Radius of convergence of the deformed exponential, cached.
 
-        With no arguments this uses (and caches) the table's configured
-        probe depth; explicit arguments bypass the cache.
+        Probes the table up to its configured ``radius_probe_depth``.
         """
-        if probe_depth is None and tol == DEFAULT_RADIUS_TOL:
-            if self._radius_cache is None:
-                self._radius_cache = _estimate_radius_on(self, self._radius_probe_depth, tol)
-            return self._radius_cache
-        depth = probe_depth if probe_depth is not None else self._radius_probe_depth
-        return _estimate_radius_on(self, depth, tol)
+        if self._radius_cache is None:
+            self._radius_cache = _estimate_radius_on(self, self._radius_probe_depth)
+        return self._radius_cache
 
 
 def phi_recurrence(spec: DeformationSpec, n_max: int) -> StructureTable:
@@ -319,18 +288,6 @@ def phi_closed_sequence(spec: DeformationSpec, n_max: int) -> list[complex]:
     return out
 
 
-def phi_closed_form(spec: DeformationSpec, n: int) -> complex:
-    """Single phi(n), n >= 1, via the product form."""
-    if n < 1:
-        raise ValueError("closed form is defined for n >= 1")
-    return phi_closed_sequence(spec, n)[n]
-
-
-def log_f_factorial(table: StructureTable, n: int) -> float:
-    """log f(n)!; the empty product at n = 0 gives 0, degeneracy gives -inf."""
-    return table.log_f_factorial(n)
-
-
 # --------------------------------------------------------------------------
 # Radius of convergence
 # --------------------------------------------------------------------------
@@ -348,7 +305,7 @@ class RadiusEstimate:
       keeps growing by a sustained factor over the probed range, is
       treated as unbounded -> infinite;
     * a tail whose relative spread over the trailing window is below
-      ``tol`` -> finite, value = mean of the window;
+      ``DEFAULT_RADIUS_TOL`` -> finite, value = mean of the window;
     * anything else -> undetermined (a valid verdict, not an error).
     """
 
@@ -363,11 +320,6 @@ class RadiusEstimate:
         if self.kind == "finite" and not (self.value is not None and self.value > 0):
             raise ValueError("finite radius must be positive")
 
-    @property
-    def bound(self) -> float:
-        """The radius as a float, +inf when unbounded or undetermined."""
-        return self.value if self.kind == "finite" else math.inf
-
 
 def _tail(values: list[float], count: int) -> list[float]:
     return values[max(1, len(values) - count):]
@@ -377,7 +329,7 @@ def _nondecreasing(window: list[float]) -> bool:
     return all(b >= a for a, b in zip(window, window[1:]))
 
 
-def _estimate_radius_on(table: StructureTable, probe_depth: int, tol: float) -> RadiusEstimate:
+def _estimate_radius_on(table: StructureTable, probe_depth: int) -> RadiusEstimate:
     if probe_depth < 16:
         raise ValueError("probe_depth must be at least 16")
 
@@ -398,7 +350,7 @@ def _estimate_radius_on(table: StructureTable, probe_depth: int, tol: float) -> 
         window = _tail(table._f[: table.max_n + 1], _TAIL_WINDOW)
         if len(window) >= _TAIL_WINDOW:
             top, bottom = max(window), min(window)
-            if bottom > 0 and (top - bottom) <= tol * top:
+            if bottom > 0 and (top - bottom) <= DEFAULT_RADIUS_TOL * top:
                 return verdict("finite", math.fsum(window) / len(window))
             if window[-1] > GROWTH_THRESHOLD and _nondecreasing(window):
                 return verdict("infinite")
@@ -414,7 +366,7 @@ def _estimate_radius_on(table: StructureTable, probe_depth: int, tol: float) -> 
         return verdict("undetermined")
 
     top, bottom = max(window), min(window)
-    if bottom > 0 and (top - bottom) <= tol * top:
+    if bottom > 0 and (top - bottom) <= DEFAULT_RADIUS_TOL * top:
         return verdict("finite", math.fsum(window) / len(window))
     # sustained growth over the probed range, e.g. linear f on a probe
     # far too short to cross the absolute threshold
@@ -424,10 +376,6 @@ def _estimate_radius_on(table: StructureTable, probe_depth: int, tol: float) -> 
     return verdict("undetermined")
 
 
-def estimate_radius(
-    spec: DeformationSpec,
-    probe_depth: int = DEFAULT_PROBE_DEPTH,
-    tol: float = DEFAULT_RADIUS_TOL,
-) -> RadiusEstimate:
+def estimate_radius(spec: DeformationSpec, probe_depth: int = DEFAULT_PROBE_DEPTH) -> RadiusEstimate:
     """Estimate the convergence radius for a spec on a fresh table."""
-    return _estimate_radius_on(StructureTable(spec), probe_depth, tol)
+    return _estimate_radius_on(StructureTable(spec), probe_depth)

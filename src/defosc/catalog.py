@@ -11,14 +11,15 @@ biedenharn q            q^(-n)           f(n) = (q^n - q^(-n)) / (q - q^(-1))
 pq         q            p^(-n)           f(n) = (q^n - p^(-n)) / (q - 1/p)
 ========== ============ ================ ==========================================
 
-The closed forms are used by the test suite as independent oracles; the
-library itself always evaluates F and G through the expression engine.
+The library always evaluates F and G through the expression engine.  The
+closed forms in the table live in the test suite (``tests/catalog_forms.py``),
+where they serve as independent oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .algebra import DeformationSpec, make_spec
 from .errors import ConfigError
@@ -31,7 +32,6 @@ class CatalogEntry:
     g_source: str
     param_names: tuple[str, ...]
     description: str
-    closed_form_phi: Callable[[int, Mapping[str, complex]], complex] | None = None
 
     def spec(self, params: Mapping[str, complex] | None = None) -> DeformationSpec:
         params = dict(params or {})
@@ -48,62 +48,15 @@ class CatalogEntry:
         return make_spec(self.name, self.f_source, self.g_source, params)
 
 
-def _phi_harmonic(n: int, params: Mapping[str, complex]) -> complex:
-    return complex(n)
-
-
-def _phi_arik_coon(n: int, params: Mapping[str, complex]) -> complex:
-    q = complex(params["q"])
-    if q == 1:
-        return complex(n)
-    return (1 - q**n) / (1 - q)
-
-
-def _phi_biedenharn(n: int, params: Mapping[str, complex]) -> complex:
-    q = complex(params["q"])
-    return (q**n - q**-n) / (q - 1 / q)
-
-
-def _phi_pq(n: int, params: Mapping[str, complex]) -> complex:
-    p, q = complex(params["p"]), complex(params["q"])
-    return (q**n - p**-n) / (q - 1 / p)
-
-
 CATALOG: dict[str, CatalogEntry] = {
     entry.name: entry
     for entry in (
-        CatalogEntry(
-            "harmonic",
-            "1",
-            "1",
-            (),
-            "undeformed oscillator, f(n) = n",
-            _phi_harmonic,
-        ),
-        CatalogEntry(
-            "arik-coon",
-            "q",
-            "1",
-            ("q",),
-            "q-integers f(n) = (1 - q^n)/(1 - q)",
-            _phi_arik_coon,
-        ),
-        CatalogEntry(
-            "biedenharn",
-            "q",
-            "q^(-n)",
-            ("q",),
-            "symmetric q-integers f(n) = (q^n - q^(-n))/(q - q^(-1))",
-            _phi_biedenharn,
-        ),
-        CatalogEntry(
-            "pq",
-            "q",
-            "p^(-n)",
-            ("p", "q"),
-            "two-parameter family f(n) = (q^n - p^(-n))/(q - 1/p)",
-            _phi_pq,
-        ),
+        CatalogEntry("harmonic", "1", "1", (), "undeformed oscillator, f(n) = n"),
+        CatalogEntry("arik-coon", "q", "1", ("q",), "q-integers f(n) = (1 - q^n)/(1 - q)"),
+        CatalogEntry("biedenharn", "q", "q^(-n)", ("q",),
+                     "symmetric q-integers f(n) = (q^n - q^(-n))/(q - q^(-1))"),
+        CatalogEntry("pq", "q", "p^(-n)", ("p", "q"),
+                     "two-parameter family f(n) = (q^n - p^(-n))/(q - 1/p)"),
     )
 }
 

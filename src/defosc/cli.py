@@ -51,13 +51,22 @@ STRUCTURE_DISCREPANCY_TOL = 1e-10
 # --------------------------------------------------------------------------
 
 
+def _finite(value: complex, text: str) -> complex:
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise ConfigError(f"number {text!r} is not finite")
+    return value
+
+
 def parse_complex(text: str) -> complex:
-    """Parse "a+bi" (also plain reals, "2i", "-i", "1e-3+2.5i", j accepted)."""
+    """Parse "a+bi" (also plain reals, "2i", "-i", "1e-3+2.5i", j accepted).
+
+    nan and inf parts are rejected with ConfigError.
+    """
     s = text.strip().replace(" ", "")
     if not s:
         raise ConfigError("empty number")
     try:
-        return complex(float(s))
+        return _finite(complex(float(s)), text)
     except ValueError:
         pass
     if s[-1] not in "ij":
@@ -79,7 +88,7 @@ def parse_complex(text: str) -> complex:
         real = float(real_text) if real_text else 0.0
     except ValueError:
         raise ConfigError(f"cannot parse complex number {text!r}") from None
-    return complex(real, imag)
+    return _finite(complex(real, imag), text)
 
 
 def _fmt_float(value: float) -> str:
@@ -132,6 +141,22 @@ def _canon(obj: Any) -> str:
 
 _CONFIG_KEYS = {"name", "F", "G", "params", "overrides"}
 _OVERRIDE_KEYS = {"probe_depth", "tail_tol", "dim", "tol"}
+# admissible values of the numeric flags and overrides, as (test, description)
+_RANGES = {
+    "n_max": (lambda v: v >= 0, "at least 0"),
+    "scan": (lambda v: v >= 0, "at least 0"),
+    "dim": (lambda v: v >= 1, "at least 1"),
+    "probe_depth": (lambda v: v >= 16, "at least 16"),
+    "tol": (lambda v: v > 0, "positive"),
+    "tail_tol": (lambda v: v > 0, "positive"),
+}
+
+
+def _out_of_range(key: str, value: float) -> str | None:
+    in_range, wanted = _RANGES[key]
+    if abs(value) < math.inf and in_range(value):
+        return None
+    return f"must be finite and {wanted}, got {value!r}"
 
 
 @dataclass(frozen=True)
@@ -177,12 +202,10 @@ def config_from_dict(raw: Any) -> Config:
         raise ConfigError("config key 'params' must be an object")
     params = {}
     for key, value in params_raw.items():
-        if isinstance(value, (int, float)):
-            params[key] = complex(value)
-        elif isinstance(value, str):
+        if isinstance(value, str):
             params[key] = parse_complex(value)
         else:
-            raise ConfigError(f"parameter {key!r} must be a number or 'a+bi' string")
+            params[key] = complex(_config_number(value, f"parameter {key!r}"))
     overrides_raw = raw.get("overrides", {})
     if not isinstance(overrides_raw, dict):
         raise ConfigError("config key 'overrides' must be an object")
@@ -191,10 +214,19 @@ def config_from_dict(raw: Any) -> Config:
         raise ConfigError(f"unknown override key(s): {', '.join(sorted(unknown))}")
     overrides = {}
     for key, value in overrides_raw.items():
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"override {key!r} must be a number")
-        overrides[key] = float(value)
+        value = _config_number(value, f"override {key!r}")
+        problem = _out_of_range(key, value)
+        if problem:
+            raise ConfigError(f"override {key!r} {problem}")
+        overrides[key] = value
     return Config(raw["name"], raw["F"], raw["G"], params, overrides)
+
+
+def _config_number(value: Any, what: str) -> float:
+    """A JSON number as a float; nan, inf and ints beyond double range are rejected."""
+    if not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def load_config(path: str) -> Config:
@@ -250,8 +282,11 @@ def _human(value: float) -> str:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -505,6 +540,19 @@ def cmd_moments(args) -> int:
 # --------------------------------------------------------------------------
 
 
+def _flag(key: str, convert=int):
+    """argparse type: a finite number in the range ``_RANGES[key]``."""
+
+    def number(text: str):
+        value = convert(text)
+        problem = _out_of_range(key, value)
+        if problem:
+            raise argparse.ArgumentTypeError(problem)
+        return value
+
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="defosc",
@@ -522,13 +570,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("structure", help="tabulate the structure function")
     add_common(p)
-    p.add_argument("--n-max", type=int, default=16)
+    p.add_argument("--n-max", type=_flag("n_max"), default=16)
     p.set_defaults(handler=cmd_structure)
 
     p = sub.add_parser("certify", help="certify the defining relations on a truncated space")
     add_common(p, formats=("table", "json"))
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--dim", type=_flag("dim"), default=None)
+    p.add_argument("--tol", type=_flag("tol", float), default=None)
     p.add_argument("--inject-fault", action="store_true",
                    help="corrupt one ladder matrix entry first (testing aid)")
     p.set_defaults(handler=cmd_certify)
@@ -536,15 +584,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coherent", help="build a coherent state and report diagnostics")
     add_common(p)
     p.add_argument("--z", help="state label, complex a+bi")
-    p.add_argument("--scan", type=int, default=0,
+    p.add_argument("--scan", type=_flag("scan"), default=0,
                    help="also report overlaps against SCAN points on the segment 0..z")
     p.set_defaults(handler=cmd_coherent)
 
     p = sub.add_parser("moments", help="check a weight against the deformed factorials")
     add_common(p)
     p.add_argument("--weight", help="weight density in x, or builtin:NAME")
-    p.add_argument("--n-max", type=int, default=moments.DEFAULT_N_MAX)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--n-max", type=_flag("n_max"), default=moments.DEFAULT_N_MAX)
+    p.add_argument("--tol", type=_flag("tol", float), default=None)
     p.set_defaults(handler=cmd_moments)
 
     return parser

@@ -58,15 +58,14 @@ def _logaddexp(a: float, b: float) -> float:
 def deformed_exp(
     table: StructureTable,
     x: float,
-    rel_tol: float = DEFAULT_REL_TOL,
     max_terms: int = MAX_TERMS,
     check_radius: bool = True,
 ) -> tuple[float, int]:
     """log of N(x) = sum_n x^n / f(n)!, plus the number of terms summed.
 
     Terms are accumulated in the log domain; summation stops once the
-    current term stays below ``rel_tol`` times the running sum for 8
-    consecutive terms.  For a degenerate table the sum is the exact
+    current term stays below ``DEFAULT_REL_TOL`` times the running sum
+    for 8 consecutive terms.  For a degenerate table the sum is the exact
     finite one over the surviving ladder.
 
     Raises
@@ -89,6 +88,7 @@ def deformed_exp(
             )
 
     log_x = math.log(x)
+    log_rel_tol = math.log(DEFAULT_REL_TOL)
     log_sum = -math.inf
     streak = 0
     terms = 0
@@ -106,7 +106,7 @@ def deformed_exp(
         log_term = n * log_x - log_fact
         log_sum = _logaddexp(log_sum, log_term)
         terms += 1
-        if log_term < math.log(rel_tol) + log_sum:
+        if log_term < log_rel_tol + log_sum:
             streak += 1
             if streak >= _STREAK:
                 # near a finite radius the neglected tail is a slow geometric
@@ -139,7 +139,6 @@ class CoherentState:
     table: StructureTable
     truncation: int
     amps: np.ndarray
-    log_amp_mag: np.ndarray
     normalization_log: float
     tail_bound: float
     near_boundary: bool = False
@@ -164,14 +163,14 @@ def make_state(
     z: complex,
     tail_tol: float = DEFAULT_TAIL_TOL,
     unsafe: bool = False,
-    max_truncation: int = MAX_TERMS,
 ) -> CoherentState:
     """Construct the coherent state with label z.
 
     The truncation level M is grown until the recorded tail bound drops
-    below ``tail_tol``.  States with |z|^2 beyond 99% of a finite radius
-    are allowed but flagged ``near_boundary``.  ``unsafe=True`` skips
-    the radius check entirely (the term budget still applies).
+    below ``tail_tol``, within ``MAX_TERMS`` levels.  States with |z|^2
+    beyond 99% of a finite radius are allowed but flagged
+    ``near_boundary``.  ``unsafe=True`` skips the radius check entirely
+    (the term budget still applies).
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
@@ -192,9 +191,7 @@ def make_state(
     log_norm, _ = deformed_exp(table, x, check_radius=not unsafe)
 
     if x == 0.0:
-        return CoherentState(
-            z, table, 0, np.array([1.0 + 0j]), np.array([0.0]), 0.0, 0.0
-        )
+        return CoherentState(z, table, 0, np.array([1.0 + 0j]), 0.0, 0.0)
 
     log_x = math.log(x)
 
@@ -206,18 +203,18 @@ def make_state(
         m = table.degeneracy - 1
         tail_bound = 0.0
     else:
-        m, tail_bound = _choose_truncation(table, x, log_p, tail_tol, max_truncation)
+        m, tail_bound = _choose_truncation(table, x, log_p, tail_tol)
 
     return _materialize(z, table, m, log_norm, tail_bound, near_boundary)
 
 
-def _choose_truncation(table, x, log_p, tail_tol, max_truncation):
+def _choose_truncation(table, x, log_p, tail_tol):
     log_tol = math.log(tail_tol)
     m = 0
     while True:
-        if m > max_truncation:
+        if m > MAX_TERMS:
             raise NonconvergenceError(
-                f"truncation exceeded {max_truncation} levels for |z|^2 = {x}"
+                f"truncation exceeded {MAX_TERMS} levels for |z|^2 = {x}"
             )
         if table.degeneracy is not None:
             return table.degeneracy - 1, 0.0
@@ -250,13 +247,11 @@ def _tail_bound_at(table, x, log_p, m) -> float | None:
 def _materialize(z, table, m, log_norm, tail_bound, near_boundary) -> CoherentState:
     theta = cmath.phase(z) if z != 0 else 0.0
     log_abs_z = math.log(abs(z)) if z != 0 else -math.inf
-    log_mags = np.empty(m + 1)
     amps = np.empty(m + 1, dtype=complex)
     for n in range(m + 1):
         log_mag = n * log_abs_z - 0.5 * table.log_f_factorial(n) - 0.5 * log_norm
-        log_mags[n] = log_mag
         amps[n] = math.exp(log_mag) * cmath.exp(1j * (n * theta)) if log_mag > -745 else 0.0
-    return CoherentState(z, table, m, amps, log_mags, log_norm, tail_bound, near_boundary)
+    return CoherentState(z, table, m, amps, log_norm, tail_bound, near_boundary)
 
 
 def eigen_residual(state: CoherentState, rep: FockRep) -> float:

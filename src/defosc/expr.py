@@ -234,8 +234,15 @@ class _Parser:
     def atom(self) -> Node:
         tok = self.current
         if tok.kind == "number":
+            value = float(tok.text)
+            if math.isinf(value):
+                raise ExprSyntaxError(
+                    "number out of double range",
+                    _byte_offset(self.source, tok.pos),
+                    found=repr(tok.text),
+                )
             self.advance()
-            return Literal(complex(float(tok.text)))
+            return Literal(complex(value))
         if tok.kind == "lparen":
             self.advance()
             node = self.sum()
@@ -462,7 +469,3 @@ def unparse(expression: Expression) -> str:
     """
     return _render(expression.root)
 
-
-def reparse(expression: Expression) -> Expression:
-    """Round-trip an expression through its textual form."""
-    return parse(unparse(expression), variable=expression.variable)

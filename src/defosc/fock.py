@@ -18,12 +18,11 @@ discards the |D+1> component.  Residuals use the max-entry norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .algebra import StructureTable
-from .errors import DimensionMismatchError, StructureOverflowError
+from .errors import StructureOverflowError
 
 
 @dataclass(frozen=True)
@@ -37,24 +36,13 @@ class FockRep:
     mat_adag: np.ndarray
     mat_abar: np.ndarray
 
-    @property
-    def top_level(self) -> int:
-        return self.dim - 1
 
-
-def build_rep(
-    table: StructureTable,
-    d: int,
-    phase_fn: Callable[[int], complex] | None = None,
-) -> FockRep:
+def build_rep(table: StructureTable, d: int) -> FockRep:
     """Build the truncated representation on span{|0>..|D>}.
 
     ``d`` is clamped below a degeneracy: if phi(n0) = 0 for n0 <= d the
-    ladder ends at |n0 - 1> and the matrices shrink accordingly.
-
-    ``phase_fn`` overrides the unit phase c(n) used for abar (it must
-    return unit-modulus values); by default the table's own phases are
-    used, which keeps abar a = phi(N) exact.
+    ladder ends at |n0 - 1> and the matrices shrink accordingly.  abar
+    uses the table's own phases, which keeps abar a = phi(N) exact.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
@@ -65,10 +53,7 @@ def build_rep(
     f = np.array([table.f(n) for n in range(dim)], dtype=float)
     if not np.all(np.isfinite(f)):
         raise StructureOverflowError(d)
-    phases = np.array(
-        [phase_fn(n) if phase_fn is not None else table.phase(n) for n in range(dim)],
-        dtype=complex,
-    )
+    phases = np.array([table.phase(n) for n in range(dim)], dtype=complex)
 
     roots = np.sqrt(f)  # roots[n] = sqrt(f(n)); roots[0] = 0, so column 0 of a is zero
     mat_n = np.diag(np.arange(dim, dtype=float)).astype(complex)
@@ -138,7 +123,7 @@ def certify(rep: FockRep, tol: float = 1e-10) -> CertificationReport:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    d = rep.top_level
+    d = rep.dim - 1
     block = d  # indices 0..d-1
     table = rep.table
     spec = table.spec
@@ -161,20 +146,3 @@ def certify(rep: FockRep, tol: float = 1e-10) -> CertificationReport:
     passes = {name: value <= tol for name, value in residuals.items()}
     return CertificationReport(rep.dim, d - 1, tol, residuals, passes)
 
-
-def expectation(rep: FockRep, operator: np.ndarray, state: np.ndarray) -> complex:
-    """<v|M|v> for a normalized state vector in the representation space."""
-    state = np.asarray(state, dtype=complex)
-    operator = np.asarray(operator, dtype=complex)
-    if state.shape != (rep.dim,):
-        raise DimensionMismatchError(
-            f"state has shape {state.shape}, expected ({rep.dim},)"
-        )
-    if operator.shape != (rep.dim, rep.dim):
-        raise DimensionMismatchError(
-            f"operator has shape {operator.shape}, expected ({rep.dim}, {rep.dim})"
-        )
-    norm = float(np.linalg.norm(state))
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError(f"state is not normalized: |v| = {norm!r}")
-    return complex(np.vdot(state, operator @ state))

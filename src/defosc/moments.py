@@ -59,6 +59,7 @@ DEFAULT_N_MAX = 20
 DEFAULT_REL_TOL = 1e-6
 QUAD_TIGHTENING = 100.0
 MAX_PANELS = 4000
+INITIAL_PANELS = 8
 _PROBE_POINTS = 64
 
 
@@ -85,22 +86,21 @@ def adaptive_quadrature(
     b: float,
     rel_tol: float,
     max_panels: int = MAX_PANELS,
-    min_panels: int = 8,
 ) -> tuple[float, float, int, bool]:
     """Adaptive Gauss-Kronrod integration on a finite interval.
 
-    Starts from ``min_panels`` equal panels and repeatedly bisects the
+    Starts from ``INITIAL_PANELS`` equal panels and repeatedly bisects the
     panel with the worst error estimate.  Returns (integral, error
     estimate, panels used, converged flag); nonconvergence is a flag,
     not an exception, so callers can report it per moment.
     """
     heap: list[tuple[float, float, float, float]] = []
-    for i in range(min_panels):
-        left = a + (b - a) * i / min_panels
-        right = a + (b - a) * (i + 1) / min_panels
+    for i in range(INITIAL_PANELS):
+        left = a + (b - a) * i / INITIAL_PANELS
+        right = a + (b - a) * (i + 1) / INITIAL_PANELS
         integral, error = _gk_panel(fn, left, right)
         heapq.heappush(heap, (-error, left, right, integral))
-    panels = min_panels
+    panels = INITIAL_PANELS
     while True:
         integrals = [item[3] for item in heap]
         finite = all(math.isfinite(v) for v in integrals)
@@ -188,10 +188,6 @@ class MomentCheck:
     panels: int
     converged: bool
 
-    @property
-    def passed(self) -> bool:
-        return self.converged and math.isfinite(self.rel_err)
-
 
 @dataclass(frozen=True)
 class MomentReport:
@@ -245,9 +241,10 @@ def check_moments(
     weight: WeightSpec,
     n_max: int = DEFAULT_N_MAX,
     rel_tol: float = DEFAULT_REL_TOL,
-    max_panels: int = MAX_PANELS,
 ) -> MomentReport:
     """Compare integral x^n W(x) dx against f(n)! for n = 0..n_max.
+
+    Each moment may use up to ``MAX_PANELS`` quadrature panels.
 
     Each integrand is scaled by exp(-log f(n)!), so the quadrature value
     targets exactly 1 and the relative error is read off directly; the
@@ -282,9 +279,9 @@ def check_moments(
                 u = 1.0 - t
                 return _g(t / u) / (u * u)
 
-            value, _, panels, converged = adaptive_quadrature(mapped_integrand, 0.0, 1.0, quad_rel_tol, max_panels)
+            value, _, panels, converged = adaptive_quadrature(mapped_integrand, 0.0, 1.0, quad_rel_tol)
         else:
-            value, _, panels, converged = adaptive_quadrature(integrand, lo, hi, quad_rel_tol, max_panels)
+            value, _, panels, converged = adaptive_quadrature(integrand, lo, hi, quad_rel_tol)
 
         if value > 0:
             integral_log = target_log + math.log(value)

@@ -7,18 +7,18 @@ from defosc.algebra import (
     DeformationSpec,
     StructureTable,
     estimate_radius,
-    log_f_factorial,
     make_spec,
-    phi_closed_form,
     phi_closed_sequence,
     phi_recurrence,
 )
-from defosc.catalog import CATALOG, builtin_spec
+from defosc.catalog import builtin_spec
 from defosc.errors import (
     ClosedFormInapplicableError,
     EvalError,
     StructureOverflowError,
 )
+
+from catalog_forms import CLOSED_FORM_PHI
 
 
 class TestRecurrence:
@@ -61,7 +61,7 @@ class TestRecurrence:
 class TestClosedFormCrossCheck:
     def test_constant_family(self):
         spec = make_spec("count", "1", "1")
-        assert phi_closed_form(spec, 4) == 4
+        assert phi_closed_sequence(spec, 4)[4] == 4
 
     def test_matches_recurrence_on_catalog(self, catalog_specs):
         for spec in catalog_specs.values():
@@ -82,12 +82,12 @@ class TestClosedFormCrossCheck:
     def test_vanishing_factor_is_typed(self):
         spec = make_spec("zero-factor", "1 - n", "1")  # F(1) = 0
         with pytest.raises(ClosedFormInapplicableError) as info:
-            phi_closed_form(spec, 3)
+            phi_closed_sequence(spec, 3)
         assert info.value.k == 1
 
     def test_first_level_needs_no_division(self):
         spec = make_spec("zero-factor", "1 - n", "1")
-        assert phi_closed_form(spec, 1) == 1
+        assert phi_closed_sequence(spec, 1)[1] == 1
 
     def test_vanishing_f_at_zero_is_harmless(self):
         # F(0) never enters [F(k)]!, so F(0) = 0 does not block the form
@@ -96,10 +96,6 @@ class TestClosedFormCrossCheck:
         closed = phi_closed_sequence(spec, 8)
         for n in range(9):
             assert abs(closed[n] - table.phi(n)) <= 1e-12 * (1 + abs(table.phi(n)))
-
-    def test_requires_positive_level(self):
-        with pytest.raises(ValueError):
-            phi_closed_form(make_spec("count", "1", "1"), 0)
 
     def test_scaled_arithmetic_survives_huge_factorials(self):
         # [F(63)]! = 2^2016 overflows doubles; the scaled route must not
@@ -141,7 +137,7 @@ class TestKnownClosedForms:
 
     def test_catalog_documented_forms_agree(self, catalog_specs):
         for name, spec in catalog_specs.items():
-            oracle = CATALOG[name].closed_form_phi
+            oracle = CLOSED_FORM_PHI[name]
             table = phi_recurrence(spec, 30)
             for n in range(31):
                 expected = oracle(n, spec.params)
@@ -184,14 +180,14 @@ class TestHermitization:
 
 class TestFactorials:
     def test_undeformed_factorial(self, harmonic_table):
-        assert log_f_factorial(harmonic_table, 5) == pytest.approx(math.log(120), abs=1e-12)
+        assert harmonic_table.log_f_factorial(5) == pytest.approx(math.log(120), abs=1e-12)
 
     def test_empty_product(self, harmonic_table):
-        assert log_f_factorial(harmonic_table, 0) == 0.0
+        assert harmonic_table.log_f_factorial(0) == 0.0
 
     def test_geometric_product_by_hand(self):
         table = phi_recurrence(builtin_spec("arik-coon", {"q": 0.5}), 3)
-        assert log_f_factorial(table, 3) == pytest.approx(math.log(1.0 * 1.5 * 1.75), abs=1e-12)
+        assert table.log_f_factorial(3) == pytest.approx(math.log(1.0 * 1.5 * 1.75), abs=1e-12)
 
     def test_degenerate_factorial_is_minus_infinity(self, degenerate_spec):
         table = phi_recurrence(degenerate_spec, 8)
@@ -207,19 +203,6 @@ class TestFactorials:
                 if math.isfinite(lhs) and lhs > 0:
                     assert abs(lhs - rhs) <= 1e-12 * lhs
 
-    def test_linear_domain_on_demand(self, harmonic_table):
-        assert harmonic_table.f_factorial(5) == pytest.approx(120.0, rel=1e-12)
-
-    def test_linear_domain_overflow_reported(self):
-        table = phi_recurrence(make_spec("count", "1", "1"), 200)
-        with pytest.raises(StructureOverflowError):
-            table.f_factorial(200)  # 200! is far beyond double range
-
-    def test_big_f_factorial_log(self):
-        table = phi_recurrence(builtin_spec("biedenharn", {"q": 2.0}), 10)
-        # [F(k)]! = 2^k for constant F = 2
-        assert table.log_F_factorial(0) == 0.0
-        assert table.log_F_factorial(5) == pytest.approx(5 * math.log(2.0), rel=1e-14)
 
 
 class TestDegeneracy:

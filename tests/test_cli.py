@@ -1,11 +1,13 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import defosc
 from defosc.cli import (
     Config,
     canonical_json,
@@ -20,7 +22,10 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str, str]:
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -44,7 +49,7 @@ class TestComplexParsing:
     def test_accepted_forms(self, text, expected):
         assert parse_complex(text) == expected
 
-    @pytest.mark.parametrize("text", ["", "abc", "1+2k", "1++2i"])
+    @pytest.mark.parametrize("text", ["", "abc", "1+2k", "1++2i", "nan", "-inf", "1+nani", "inf-2i"])
     def test_rejected_forms(self, text):
         with pytest.raises(ConfigError):
             parse_complex(text)
@@ -101,6 +106,13 @@ class TestConfig:
     def test_numeric_params_accepted(self):
         config = config_from_dict({"name": "x", "F": "q", "G": "1", "params": {"q": 0.5}})
         assert config.params["q"] == 0.5 + 0j
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "int-1e400"])
+    def test_non_finite_numbers_rejected(self, value):
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_dict({"name": "x", "F": "q", "G": "1", "params": {"q": value}})
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_dict({"name": "x", "F": "1", "G": "1", "overrides": {"tol": value}})
 
     def test_spec_construction(self):
         config = Config("geometric", "q", "1", {"q": 0.5 + 0j})
@@ -162,6 +174,43 @@ class TestExitCodes:
         )
         assert code == 4
         assert "R = 2" in err
+
+    @pytest.mark.parametrize(
+        "argv,overrides",
+        [
+            (["structure", "--n-max", "-1"], None),
+            (["moments", "--weight", "builtin:harmonic", "--n-max", "-1"], None),
+            (["certify", "--dim", "0"], None),
+            (["certify", "--tol", "-1"], None),
+            (["moments", "--weight", "builtin:harmonic", "--tol", "0"], None),
+            (["coherent", "--z", "1", "--scan", "-1"], None),
+            (["certify"], {"dim": 0}),
+            (["certify"], {"tol": -1}),
+            (["coherent", "--z", "0.5"], {"tail_tol": 0}),
+            (["coherent", "--z", "0.5"], {"probe_depth": 8}),
+        ],
+    )
+    def test_out_of_range_number_is_two(self, capsys, tmp_path, argv, overrides):
+        if overrides is None:
+            argv = argv + ["--builtin", "harmonic"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"name": "h", "F": "1", "G": "1", "overrides": overrides}))
+            argv = argv + ["--config", str(config)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert "must be" in err
+
+    def test_non_finite_label_is_two(self, capsys):
+        code, _, err = run_cli(capsys, ["coherent", "--builtin", "harmonic", "--z", "nan"])
+        assert code == 2
+        assert "not finite" in err
+
+    def test_unwritable_out_is_two(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, _, err = run_cli(capsys, ["structure", "--builtin", "harmonic", "--out", str(target)])
+        assert code == 2
+        assert str(target) in err
 
 
 class TestStructureCommand:
@@ -356,11 +405,15 @@ class TestGoldenFiles:
 
 class TestModuleEntry:
     def test_python_dash_m(self):
+        # the child finds the same package as this process, installed or not
+        src = str(Path(defosc.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "defosc", "structure", "--builtin", "harmonic",
              "--n-max", "3", "--format", "json"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["algebra"] == "harmonic"

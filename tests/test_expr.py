@@ -18,7 +18,6 @@ from defosc.expr import (
     Var,
     evaluate,
     parse,
-    reparse,
     unparse,
 )
 
@@ -133,6 +132,12 @@ class TestErrors:
         assert info.value.offset == 2
         assert info.value.expected
 
+    def test_overflowing_number_is_rejected(self):
+        with pytest.raises(ExprSyntaxError) as info:
+            parse("2*1e999 + n")
+        assert info.value.offset == 2
+        assert parse("1e308").root == Literal(1e308 + 0j)
+
     def test_unexpected_character_offset(self):
         with pytest.raises(ExprSyntaxError) as info:
             parse("q + @")
@@ -184,13 +189,13 @@ class TestRoundTrip:
     @pytest.mark.parametrize("source", ROUND_TRIP_SOURCES)
     def test_structural_stability(self, source):
         first = parse(source)
-        second = reparse(first)
+        second = parse(unparse(first))
         assert first.root == second.root
 
     @pytest.mark.parametrize("source", ROUND_TRIP_SOURCES)
     def test_evaluation_is_bit_identical(self, source):
         first = parse(source)
-        second = reparse(first)
+        second = parse(unparse(first))
         rng = random.Random(hash(source) & 0xFFFF)
         names = sorted(first.free_params)
         for _ in range(100):
