@@ -144,7 +144,7 @@ _OVERRIDE_KEYS = {"probe_depth", "tail_tol", "dim", "tol"}
 # admissible values of the numeric flags and overrides, as (test, description)
 _RANGES = {
     "n_max": (lambda v: v >= 0, "at least 0"),
-    "scan": (lambda v: v >= 0, "at least 0"),
+    "scan": (lambda v: 0 <= v <= 10000, "between 0 and 10000"),
     "dim": (lambda v: v >= 1, "at least 1"),
     "probe_depth": (lambda v: v >= 16, "at least 16"),
     "tol": (lambda v: v > 0, "positive"),
@@ -585,7 +585,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--z", help="state label, complex a+bi")
     p.add_argument("--scan", type=_flag("scan"), default=0,
-                   help="also report overlaps against SCAN points on the segment 0..z")
+                   help="also report overlaps against SCAN points (at most 10000) on the segment 0..z")
     p.set_defaults(handler=cmd_coherent)
 
     p = sub.add_parser("moments", help="check a weight against the deformed factorials")

@@ -19,6 +19,11 @@ Arithmetic is complex throughout.  Powers with an integer exponent are
 computed by repeated multiplication, so negative real bases never touch
 a branch cut and real inputs stay exactly real; non-integer exponents
 use the principal branch.
+
+Parsing, evaluation and unparsing recurse over the syntax tree, so the
+parser refuses sources nested more than ``MAX_DEPTH`` levels deep
+(parentheses, calls, unary minus and exponents each open a level) and
+trees more than ``MAX_DEPTH`` operators high.
 """
 
 from __future__ import annotations
@@ -171,6 +176,15 @@ def _tokenize(source: str) -> Iterator[_Token]:
 # --------------------------------------------------------------------------
 
 
+# Nesting the parser may enter (parentheses, calls, signs, exponents) and
+# height the syntax tree may reach; both bound the recursion of the parser,
+# of evaluation and of unparsing.
+MAX_DEPTH = 100
+
+# A parsed subtree and its height: the operators on its longest path.
+_Sub = tuple[Node, int]
+
+
 class _Parser:
     def __init__(self, source: str, variable: str):
         self.source = source
@@ -178,6 +192,7 @@ class _Parser:
         self.tokens = list(_tokenize(source))
         self.pos = 0
         self.params: set[str] = set()
+        self.level = 0
 
     @property
     def current(self) -> _Token:
@@ -198,40 +213,76 @@ class _Parser:
             found=found,
         )
 
+    def too_deep(self, tok: _Token) -> ExprSyntaxError:
+        return ExprSyntaxError(
+            f"expression nested deeper than {MAX_DEPTH} levels",
+            _byte_offset(self.source, tok.pos),
+            found=f"{tok.kind} {tok.text!r}",
+        )
+
+    def nested(self, tok: _Token, parse_inner) -> _Sub:
+        """Parse one nesting level opened by ``tok``."""
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise self.too_deep(tok)
+        sub = parse_inner()
+        self.level -= 1
+        return sub
+
+    def node(self, tok: _Token, node: Node, *children: _Sub) -> _Sub:
+        """``node`` over ``children``, refused at ``tok`` if too high."""
+        height = 1 + max(h for _, h in children)
+        if height > MAX_DEPTH:
+            raise self.too_deep(tok)
+        return node, height
+
     def parse(self) -> Node:
-        node = self.sum()
+        node, _ = self.sum()
         if self.current.kind != "eof":
             raise self.fail(("operator", "end of input"))
         return node
 
-    def sum(self) -> Node:
-        node = self.term()
+    def sum(self) -> _Sub:
+        left = self.term()
         while self.current.kind == "op" and self.current.text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+            tok = self.advance()
+            right = self.term()
+            left = self.node(tok, BinOp(tok.text, left[0], right[0]), left, right)
+        return left
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> _Sub:
+        left = self.unary()
         while self.current.kind == "op" and self.current.text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.unary())
-        return node
+            tok = self.advance()
+            right = self.unary()
+            left = self.node(tok, BinOp(tok.text, left[0], right[0]), left, right)
+        return left
 
-    def unary(self) -> Node:
+    def unary(self) -> _Sub:
         if self.current.kind == "op" and self.current.text == "-":
-            self.advance()
-            return Neg(self.unary())
+            tok = self.advance()
+            operand = self.nested(tok, self.unary)
+            return self.node(tok, Neg(operand[0]), operand)
         return self.power()
 
-    def power(self) -> Node:
-        node = self.atom()
+    def power(self) -> _Sub:
+        base = self.atom()
         if self.current.kind == "op" and self.current.text == "^":
-            self.advance()
-            node = BinOp("^", node, self.unary())
-        return node
+            tok = self.advance()
+            exponent = self.nested(tok, self.unary)
+            return self.node(tok, BinOp("^", base[0], exponent[0]), base, exponent)
+        return base
 
-    def atom(self) -> Node:
+    def group(self) -> _Sub:
+        """A parenthesized sum; the '(' is the current token."""
+        self.advance()
+        inner = self.sum()
+        if self.current.kind != "rparen":
+            raise self.fail(("')'",))
+        self.advance()
+        return inner
+
+    def atom(self) -> _Sub:
         tok = self.current
         if tok.kind == "number":
             value = float(tok.text)
@@ -242,14 +293,9 @@ class _Parser:
                     found=repr(tok.text),
                 )
             self.advance()
-            return Literal(complex(value))
+            return Literal(complex(value)), 0
         if tok.kind == "lparen":
-            self.advance()
-            node = self.sum()
-            if self.current.kind != "rparen":
-                raise self.fail(("')'",))
-            self.advance()
-            return node
+            return self.nested(tok, self.group)
         if tok.kind == "ident":
             self.advance()
             name = tok.text
@@ -261,20 +307,16 @@ class _Parser:
                         expected=FUNCTIONS,
                         found=repr(name),
                     )
-                self.advance()
-                arg = self.sum()
-                if self.current.kind != "rparen":
-                    raise self.fail(("')'",))
-                self.advance()
-                return Call(name, arg)
+                arg = self.nested(self.current, self.group)
+                return self.node(tok, Call(name, arg[0]), arg)
             if name == IMAGINARY_NAME:
-                return Literal(1j)
+                return Literal(1j), 0
             if name in FUNCTIONS:
                 raise self.fail(("'('",))
             if name == self.variable:
-                return Var(name)
+                return Var(name), 0
             self.params.add(name)
-            return Param(name)
+            return Param(name), 0
         raise self.fail(("number", "identifier", "'('", "'-'"))
 
 
@@ -288,6 +330,9 @@ def parse(source: str, variable: str = "n") -> Expression:
     ------
     ExprSyntaxError
         On grammar violations, with the byte offset and expected tokens.
+        Also when the source nests deeper than ``MAX_DEPTH`` levels or
+        its tree would be more than ``MAX_DEPTH`` operators high; the
+        offset is that of the token that goes one level too deep.
     UnknownFunctionError
         When a call names anything other than ``exp``, ``ln``, ``sqrt``.
     """
@@ -465,7 +510,8 @@ def unparse(expression: Expression) -> str:
 
     Parenthesization follows operator precedence, so for any parsed
     source ``parse(unparse(parse(s)))`` is structurally identical to
-    ``parse(s)``.
+    ``parse(s)``, unless the added parentheses take the rendering past
+    ``MAX_DEPTH`` levels.
     """
     return _render(expression.root)
 

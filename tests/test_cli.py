@@ -188,6 +188,7 @@ class TestExitCodes:
             (["certify"], {"tol": -1}),
             (["coherent", "--z", "0.5"], {"tail_tol": 0}),
             (["coherent", "--z", "0.5"], {"probe_depth": 8}),
+            (["coherent", "--z", "1", "--scan", "1" + "0" * 400], None),
         ],
     )
     def test_out_of_range_number_is_two(self, capsys, tmp_path, argv, overrides):
@@ -200,6 +201,19 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert "must be" in err
+
+    @pytest.mark.parametrize(
+        "source",
+        ["(" * 2000 + "n" + ")" * 2000, "-" * 5000 + "n", "2^" * 2000 + "2", "+".join(["n"] * 2000)],
+    )
+    def test_deeply_nested_expression_is_two(self, capsys, tmp_path, source):
+        # in-process, a RecursionError would escape main and fail the test
+        config = tmp_path / "deep.json"
+        config.write_text(json.dumps({"name": "deep", "F": source, "G": "1"}))
+        code, out, err = run_cli(capsys, ["structure", "--config", str(config)])
+        assert code == 2
+        assert out == ""
+        assert "nested deeper than" in err
 
     def test_non_finite_label_is_two(self, capsys):
         code, _, err = run_cli(capsys, ["coherent", "--builtin", "harmonic", "--z", "nan"])

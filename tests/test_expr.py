@@ -10,6 +10,7 @@ from defosc.errors import (
     UnknownFunctionError,
 )
 from defosc.expr import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Literal,
@@ -137,6 +138,34 @@ class TestErrors:
             parse("2*1e999 + n")
         assert info.value.offset == 2
         assert parse("1e308").root == Literal(1e308 + 0j)
+
+    @pytest.mark.parametrize(
+        "opening,middle,closing,marker",
+        [
+            ("(", "1", ")", "("),  # nested parentheses
+            ("-", "1", "", "-"),  # a run of unary minus
+            ("1^", "1", "", "^"),  # a right-associative power tower
+            ("sqrt(", "n", ")", "("),  # nested calls
+            ("", "n", "+n", "+"),  # a left-associative chain
+        ],
+    )
+    def test_nesting_is_capped(self, opening, middle, closing, marker):
+        def nest(levels):
+            return opening * levels + middle + closing * levels
+
+        at_cap = parse(nest(MAX_DEPTH))
+        evaluate(at_cap, 0)
+        unparse(at_cap)
+        for levels in (MAX_DEPTH + 1, 5000):
+            source = nest(levels)
+            with pytest.raises(ExprSyntaxError) as info:
+                parse(source)
+            # refused at the marker that opens level MAX_DEPTH + 1
+            offset = -1
+            for _ in range(MAX_DEPTH + 1):
+                offset = source.index(marker, offset + 1)
+            assert info.value.offset == offset
+            assert "nested deeper" in str(info.value)
 
     def test_unexpected_character_offset(self):
         with pytest.raises(ExprSyntaxError) as info:

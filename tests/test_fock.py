@@ -1,11 +1,19 @@
+import cmath
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from defosc.algebra import phi_recurrence
+from defosc.algebra import make_spec, phi_recurrence
 from defosc.catalog import builtin_spec
 from defosc.fock import RELATION_NAMES, build_rep, certify
+
+from conftest import CATALOG_PARAMS
+from dense_certify import dense_certify
 
 
 class TestBuildRep:
@@ -113,6 +121,98 @@ class TestCertify:
     def test_tol_must_be_positive(self, harmonic_table):
         with pytest.raises(ValueError):
             certify(build_rep(harmonic_table, 4), tol=0.0)
+
+
+FAULTS = {
+    "add": lambda value: value + 0.1,
+    "scale": lambda value: value * 1.5,
+}
+
+
+def _inject(rep, fault):
+    if fault is not None:
+        entry = (2, 3) if rep.dim >= 4 else (0, 1)  # as certify --inject-fault
+        rep.mat_a[entry] = FAULTS[fault](rep.mat_a[entry])
+    return rep
+
+
+def _affine_specs(count, seed):
+    # F = q and G = 1 + r n with complex q and r: every product in the
+    # drift term multiplies two numbers with nonzero imaginary parts
+    rng = random.Random(seed)
+    specs = []
+    for i in range(count):
+        q = rng.uniform(0.5, 1.5) * cmath.exp(1j * rng.uniform(-2.0, 2.0))
+        r = rng.uniform(0.0, 1.0) * cmath.exp(1j * rng.uniform(-2.0, 2.0))
+        specs.append(make_spec(f"affine-{seed}-{i}", "q", "1 + r*n", {"q": q, "r": r}))
+    return specs
+
+
+class TestBandCertifyMatchesDense:
+    """certify reads the bands; the dense matrix products are the oracle."""
+
+    @pytest.mark.parametrize("fault", [None, *FAULTS])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 16, 64])
+    @pytest.mark.parametrize("name", list(CATALOG_PARAMS))
+    def test_real_families_bit_identical(self, catalog_tables, name, d, fault):
+        rep = _inject(build_rep(catalog_tables[name], d), fault)
+        report = certify(rep)
+        residuals, passes = dense_certify(rep)
+        assert report.residuals == residuals
+        assert report.passes == passes
+
+    @pytest.mark.parametrize("fault", [None, *FAULTS])
+    @pytest.mark.parametrize("d", [1, 3, 16, 64])
+    def test_complex_affine_within_rounding(self, d, fault):
+        # a BLAS complex product may round with a fused multiply-add, so
+        # the dense value itself is only defined to the last bit or two
+        for spec in _affine_specs(6, seed=d):
+            rep = _inject(build_rep(phi_recurrence(spec, d + 1), d), fault)
+            report = certify(rep)
+            residuals, passes = dense_certify(rep)
+            for name in RELATION_NAMES:
+                assert abs(report.residuals[name] - residuals[name]) <= 1e-15 * (1 + residuals[name])
+            assert report.passes == passes
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CATALOG_PARAMS)),
+        d=st.integers(min_value=1, max_value=40),
+        data=st.data(),
+    )
+    def test_random_band_fault(self, catalog_tables, name, d, data):
+        rep = build_rep(catalog_tables[name], d)
+        k = data.draw(st.integers(min_value=0, max_value=rep.dim - 2))
+        factor = data.draw(st.floats(min_value=-4.0, max_value=4.0, allow_nan=False))
+        shift = data.draw(st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
+        rep.mat_a[k, k + 1] = rep.mat_a[k, k + 1] * factor + shift
+        report = certify(rep)
+        residuals, passes = dense_certify(rep)
+        assert report.residuals == residuals
+        assert report.passes == passes
+
+    @pytest.mark.parametrize(
+        "matrix,entry",
+        [("mat_n", (0, 1)), ("mat_a", (3, 2)), ("mat_adag", (2, 3)), ("mat_abar", (5, 1))],
+    )
+    def test_off_band_entry_is_refused(self, harmonic_table, matrix, entry):
+        rep = build_rep(harmonic_table, 8)
+        getattr(rep, matrix)[entry] = 1e-300j
+        with pytest.raises(ValueError, match=matrix):
+            certify(rep)
+
+    def test_memory_stays_linear_in_dimension(self):
+        # one dense complex matrix at D = 1024 is 16.8 MB; numpy reports
+        # its buffers to tracemalloc, so a dense temporary shows here
+        rep = build_rep(phi_recurrence(builtin_spec("arik-coon", {"q": 0.5}), 1025), 1024)
+        tracemalloc.start()
+        try:
+            report = certify(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 4e6
 
 
 class TestExpectation:
