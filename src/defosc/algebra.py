@@ -191,6 +191,11 @@ class StructureTable:
         self.ensure(n)
         return self._log_f_fact[n]
 
+    def levels(self, start: int, stop: int) -> tuple[list[float], list[complex], list[float]]:
+        """f(n), phase(n) and log f(n)! for start <= n < stop, as new lists."""
+        self.ensure(stop - 1)
+        return self._f[start:stop], self._phase[start:stop], self._log_f_fact[start:stop]
+
     def effective_dimension(self, requested: int) -> int:
         """Largest usable ladder index: requested, clamped below a degeneracy."""
         if self._degeneracy is not None and self._degeneracy <= requested:

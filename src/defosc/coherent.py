@@ -13,17 +13,30 @@ Amplitudes are carried as log magnitude plus phase: the raw quantities
 probability tail is negligible.  Linear amplitude vectors are
 materialized only after truncation, where every entry is at most 1.
 
-Truncation is adaptive per (table, z).  The recorded ``tail_bound``
-dominates both the discarded probability ``sum_{n>M} |c_n|^2`` (via a
-geometric bound with ratio |z|^2 / inf f beyond M) and the last kept
-probability |c_M|^2, which is what the lowering-eigenvector residual of
-the truncated vector is made of.
+N(x), the cut M, the tail bound and the amplitudes come from one pass
+over the log-terms ``t(n) = n log x - log f(n)!``, which stops at the
+first M with
+
+    max(p(M), p(M+1) / (1 - x / f_min)) <= tail_tol,
+
+where p(n) is term n over the sum of all terms read, and f_min > x is
+the least f over the 64 levels after M, read before M is judged (a
+running window minimum keeps this O(M)).  The second entry bounds the
+discarded probability ``sum_{n>M} |c_n|^2`` geometrically, as long as f
+stays above f_min past the window.  N(x) is the sum of every term read,
+window included, and the recorded ``tail_bound`` is the left side
+against it, so ``sum_{n<=M} |c_n|^2`` lies in [1 - tail_bound, 1].  A
+``tail_tol`` looser than ``DEFAULT_TAIL_TOL`` sets M, but the pass sums
+on until the rule holds at the default.  A zero of f at n0 ends the
+series exactly, with M = n0 - 1 and tail bound 0; past an overflow of
+the table the windows shrink.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,92 +51,131 @@ from .errors import (
 )
 from .fock import FockRep
 
-DEFAULT_REL_TOL = 1e-14
 DEFAULT_TAIL_TOL = 1e-14
 MAX_TERMS = 10**6
-_STREAK = 8  # consecutive below-threshold terms required to stop a series
-_PROBE_AHEAD = 64  # structure-function samples inspected beyond a candidate cut
+_PROBE_AHEAD = 64  # levels read past a candidate cut for its geometric bound
 _NEAR_BOUNDARY_FRACTION = 0.99
 
 
 def _logaddexp(a: float, b: float) -> float:
     if a == -math.inf:
         return b
-    if b == -math.inf:
-        return a
     hi, lo = (a, b) if a >= b else (b, a)
     return hi + math.log1p(math.exp(lo - hi))
 
 
-def deformed_exp(
-    table: StructureTable,
-    x: float,
-    max_terms: int = MAX_TERMS,
-    check_radius: bool = True,
-) -> tuple[float, int]:
+def _check_domain(table: StructureTable, x: float) -> bool:
+    """Refuse x at or past a finite radius; True if x is within 1% of it."""
+    if table.degeneracy is not None:
+        return False
+    estimate = table.radius()
+    if estimate.kind != "finite":
+        return False
+    if x >= estimate.value:
+        raise OutsideDomainError(
+            f"|z|^2 = {x} is outside the convergence disk (R = {estimate.value})",
+            radius=estimate.value,
+        )
+    return x > _NEAR_BOUNDARY_FRACTION * estimate.value
+
+
+def _tail_bound(log_terms: list[float], log_sum: float, m: int, ratio: float) -> float:
+    """max(p(M), p(M+1) / (1 - ratio)) against the sum ``log_sum``."""
+    log_next = log_terms[m + 1] if m + 1 < len(log_terms) else -math.inf
+    log_geom = log_next - log_sum - math.log1p(-ratio)
+    return max(math.exp(log_terms[m] - log_sum), math.exp(log_geom))
+
+
+def _series(table: StructureTable, x: float, tail_tol: float) -> tuple[list[float], float, int, float]:
+    """The pass of the module docstring for x > 0 inside the radius.
+
+    Returns ``(log_terms, log_norm, cut, tail_bound)``: every log-term
+    read, log N(x) as their sequential log-sum, the cut M and its bound.
+
+    Raises
+    ------
+    NonconvergenceError
+        If no cut is found within ``MAX_TERMS`` levels.
+    StructureOverflowError
+        If the table overflows before any level qualifies as the cut.
+    """
+    log_x = math.log(x)
+    log_terms: list[float] = []
+    log_sum = -math.inf
+    # (level, f) for the levels read past the candidate, f increasing:
+    # the first entry is the window minimum
+    window: deque[tuple[int, float]] = deque()
+    tol, log_tol = tail_tol, math.log(tail_tol)
+    cut: int | None = None
+    cut_ratio = 0.0
+    f_block: list[float] = []
+    lf_block: list[float] = []
+    start = k = 0  # start is the level of f_block[0]
+    while True:
+        if k == start + len(f_block):
+            try:
+                table.ensure(k + _PROBE_AHEAD - 1)
+            except StructureOverflowError:
+                pass  # levels past the overflow do not exist
+            f_block, _, lf_block = table.levels(k, min(k + _PROBE_AHEAD, table.max_n + 1))
+            start = k
+        if f_block:
+            f_k, lf_k = f_block[k - start], lf_block[k - start]
+            if lf_k == -math.inf:
+                # f(k) = 0: the series is the finite sum read so far
+                if cut is None:
+                    return log_terms, log_sum, k - 1, 0.0
+                break
+            log_terms.append(k * log_x - lf_k)
+            log_sum = _logaddexp(log_sum, log_terms[-1])
+            while window and window[-1][1] >= f_k:
+                window.pop()
+            window.append((k, f_k))
+        m = k - _PROBE_AHEAD  # the candidate whose window is now read
+        k += 1
+        if m < 0:
+            continue
+        if m > MAX_TERMS:
+            raise NonconvergenceError(f"the series at |z|^2 = {x} found no cut within {MAX_TERMS} levels")
+        if m >= len(log_terms):
+            raise StructureOverflowError(table.overflow_at)
+        if window and window[0][0] == m:
+            window.popleft()
+        f_min = window[0][1] if window else math.inf
+        if f_min <= x or log_terms[m] - log_sum > log_tol:
+            continue
+        bound = _tail_bound(log_terms, log_sum, m, x / f_min)
+        if bound > tol:
+            continue
+        if cut is None:
+            cut, cut_ratio = m, x / f_min
+        if bound <= DEFAULT_TAIL_TOL:
+            break
+        tol, log_tol = DEFAULT_TAIL_TOL, math.log(DEFAULT_TAIL_TOL)
+    return log_terms, log_sum, cut, _tail_bound(log_terms, log_sum, cut, cut_ratio)
+
+
+def deformed_exp(table: StructureTable, x: float) -> tuple[float, int]:
     """log of N(x) = sum_n x^n / f(n)!, plus the number of terms summed.
 
-    Terms are accumulated in the log domain; summation stops once the
-    current term stays below ``DEFAULT_REL_TOL`` times the running sum
-    for 8 consecutive terms.  For a degenerate table the sum is the exact
-    finite one over the surviving ladder.
+    The sum is the pass of the module docstring at ``DEFAULT_TAIL_TOL``:
+    every term up to 64 levels past the cut.  For a degenerate table it
+    is the exact finite sum over the surviving ladder.
 
     Raises
     ------
     OutsideDomainError
         If x >= the (finite) estimated radius: the series diverges.
     NonconvergenceError
-        If ``max_terms`` is exhausted before the stop rule fires.
+        If the pass finds no cut within ``MAX_TERMS`` levels.
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
     if x == 0.0:
         return 0.0, 1
-    if check_radius and table.degeneracy is None:
-        estimate = table.radius()
-        if estimate.kind == "finite" and x >= estimate.value:
-            raise OutsideDomainError(
-                f"x = {x} is outside the convergence radius R = {estimate.value}",
-                radius=estimate.value,
-            )
-
-    log_x = math.log(x)
-    log_rel_tol = math.log(DEFAULT_REL_TOL)
-    log_sum = -math.inf
-    streak = 0
-    terms = 0
-    n = 0
-    prev_log_term = math.inf
-    while terms < max_terms:
-        try:
-            log_fact = table.log_f_factorial(n)
-        except StructureOverflowError:
-            # phi itself left double range; remaining log-domain terms are
-            # already far below the stop threshold at this point
-            break
-        if log_fact == -math.inf:
-            break  # degenerate ladder: the series terminates here
-        log_term = n * log_x - log_fact
-        log_sum = _logaddexp(log_sum, log_term)
-        terms += 1
-        if log_term < log_rel_tol + log_sum:
-            streak += 1
-            if streak >= _STREAK:
-                # near a finite radius the neglected tail is a slow geometric
-                # series worth hundreds of last terms; add its estimate
-                ratio = math.exp(log_term - prev_log_term)
-                if 0.0 < ratio < 1.0:
-                    log_sum = _logaddexp(log_sum, log_term + math.log(ratio / (1.0 - ratio)))
-                return log_sum, terms
-        else:
-            streak = 0
-        prev_log_term = log_term
-        n += 1
-    if table.degeneracy is not None or terms < max_terms:
-        return log_sum, terms
-    raise NonconvergenceError(
-        f"deformed exponential did not converge within {max_terms} terms at x = {x}"
-    )
+    _check_domain(table, x)
+    log_terms, log_norm, _, _ = _series(table, x, DEFAULT_TAIL_TOL)
+    return log_norm, len(log_terms)
 
 
 @dataclass(frozen=True)
@@ -158,104 +210,36 @@ class CoherentState:
         return np.abs(self.amps) ** 2
 
 
-def make_state(
-    table: StructureTable,
-    z: complex,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-    unsafe: bool = False,
-) -> CoherentState:
+def make_state(table: StructureTable, z: complex, tail_tol: float = DEFAULT_TAIL_TOL) -> CoherentState:
     """Construct the coherent state with label z.
 
-    The truncation level M is grown until the recorded tail bound drops
-    below ``tail_tol``, within ``MAX_TERMS`` levels.  States with |z|^2
-    beyond 99% of a finite radius are allowed but flagged
-    ``near_boundary``.  ``unsafe=True`` skips the radius check entirely
-    (the term budget still applies).
+    The cut M is the first level at which the tail rule of the module
+    docstring holds at ``tail_tol``, within ``MAX_TERMS`` levels; the
+    normalization and the amplitudes come from the same pass.  States
+    with |z|^2 beyond 99% of a finite radius are allowed but flagged
+    ``near_boundary``.
     """
     if tail_tol <= 0:
         raise ValueError("tail_tol must be positive")
     z = complex(z)
     x = abs(z) ** 2
-
-    near_boundary = False
-    if table.degeneracy is None:
-        estimate = table.radius()
-        if estimate.kind == "finite":
-            if x >= estimate.value and not unsafe:
-                raise OutsideDomainError(
-                    f"|z|^2 = {x} is outside the convergence disk (R = {estimate.value})",
-                    radius=estimate.value,
-                )
-            near_boundary = x > _NEAR_BOUNDARY_FRACTION * estimate.value
-
-    log_norm, _ = deformed_exp(table, x, check_radius=not unsafe)
-
     if x == 0.0:
         return CoherentState(z, table, 0, np.array([1.0 + 0j]), 0.0, 0.0)
 
-    log_x = math.log(x)
-
-    def log_p(n: int) -> float:
-        # log |c_n|^2
-        return n * log_x - table.log_f_factorial(n) - log_norm
-
-    if table.degeneracy is not None:
-        m = table.degeneracy - 1
-        tail_bound = 0.0
-    else:
-        m, tail_bound = _choose_truncation(table, x, log_p, tail_tol)
-
-    return _materialize(z, table, m, log_norm, tail_bound, near_boundary)
-
-
-def _choose_truncation(table, x, log_p, tail_tol):
-    log_tol = math.log(tail_tol)
-    m = 0
-    while True:
-        if m > MAX_TERMS:
-            raise NonconvergenceError(
-                f"truncation exceeded {MAX_TERMS} levels for |z|^2 = {x}"
-            )
-        if table.degeneracy is not None:
-            return table.degeneracy - 1, 0.0
-        if log_p(m) <= log_tol:
-            bound = _tail_bound_at(table, x, log_p, m)
-            if bound is not None and bound <= tail_tol:
-                return m, bound
-        m += 1
-
-
-def _tail_bound_at(table, x, log_p, m) -> float | None:
-    """max(|c_m|^2, geometric bound on sum_{n>m} |c_n|^2), or None if unbounded."""
-    try:
-        table.ensure(m + _PROBE_AHEAD + 1)
-    except StructureOverflowError:
-        pass
-    probe_end = min(m + _PROBE_AHEAD, table.max_n)
-    if probe_end <= m:
-        # the structure function overflowed right past m: the next term is
-        # smaller than |c_m|^2 by an astronomically large factor
-        return math.exp(log_p(m))
-    f_min = min(table.f(j) for j in range(m + 1, probe_end + 1))
-    if f_min <= x:
-        return None
-    ratio = x / f_min
-    log_geom = log_p(m + 1) - math.log1p(-ratio)
-    return max(math.exp(log_p(m)), math.exp(log_geom))
-
-
-def _materialize(z, table, m, log_norm, tail_bound, near_boundary) -> CoherentState:
-    theta = cmath.phase(z) if z != 0 else 0.0
-    log_abs_z = math.log(abs(z)) if z != 0 else -math.inf
-    amps = np.empty(m + 1, dtype=complex)
-    for n in range(m + 1):
-        log_mag = n * log_abs_z - 0.5 * table.log_f_factorial(n) - 0.5 * log_norm
-        amps[n] = math.exp(log_mag) * cmath.exp(1j * (n * theta)) if log_mag > -745 else 0.0
+    near_boundary = _check_domain(table, x)
+    log_terms, log_norm, m, tail_bound = _series(table, x, tail_tol)
+    theta = cmath.phase(z)
+    kept = log_terms[: m + 1]
+    amps = np.array([math.exp(0.5 * (t - log_norm)) * cmath.exp(1j * (n * theta)) for n, t in enumerate(kept)])
     return CoherentState(z, table, m, amps, log_norm, tail_bound, near_boundary)
 
 
 def eigen_residual(state: CoherentState, rep: FockRep) -> float:
-    """2-norm of (a - z) applied to the truncated state."""
+    """2-norm of (a - z) applied to the truncated state.
+
+    Only the superdiagonal of ``rep.mat_a`` is read: a is applied as the
+    weighted shift ``(a v)[n] = sqrt(f(n+1)) v[n+1]``.
+    """
     if rep.dim < state.truncation + 1:
         raise DimensionMismatchError(
             f"representation dim {rep.dim} below truncation {state.truncation}"
@@ -263,7 +247,9 @@ def eigen_residual(state: CoherentState, rep: FockRep) -> float:
     if rep.table is not state.table:
         raise TableMismatchError("state and representation use different tables")
     vec = state.vector(rep.dim)
-    return float(np.linalg.norm(rep.mat_a @ vec - state.z * vec))
+    image = np.zeros_like(vec)
+    image[:-1] = np.diagonal(rep.mat_a, 1) * vec[1:]
+    return float(np.linalg.norm(image - state.z * vec))
 
 
 def overlap(s1: CoherentState, s2: CoherentState) -> complex:
@@ -299,7 +285,9 @@ def uncertainty_product(state: CoherentState, rep: FockRep) -> float:
 
     Units with hbar = 1.  The representation must extend at least two
     levels past the state's truncation so that adag acting on the top
-    kept level stays inside the matrix.
+    kept level stays inside the matrix.  Only the superdiagonal of
+    ``rep.mat_a`` and the subdiagonal of ``rep.mat_adag`` are read: each
+    quadrature is applied as two weighted shifts.
     """
     if rep.dim < state.truncation + 2:
         raise DimensionMismatchError(
@@ -308,12 +296,16 @@ def uncertainty_product(state: CoherentState, rep: FockRep) -> float:
     if rep.table is not state.table:
         raise TableMismatchError("state and representation use different tables")
     vec = state.vector(rep.dim)
-    quad_q = (rep.mat_a + rep.mat_adag) / math.sqrt(2.0)
-    quad_p = (rep.mat_a - rep.mat_adag) / (1j * math.sqrt(2.0))
+    a = np.diagonal(rep.mat_a, 1)
+    adag = np.diagonal(rep.mat_adag, -1)
+    root2 = math.sqrt(2.0)
     variances = []
-    for op in (quad_q, quad_p):
-        image = op @ vec
+    # (upper, lower) bands of Q and of P
+    for upper, lower in ((a / root2, adag / root2), (a / (1j * root2), -adag / (1j * root2))):
+        image = np.zeros_like(vec)
+        image[:-1] = upper * vec[1:]
+        image[1:] += lower * vec[:-1]
         mean = np.vdot(vec, image).real
-        second = np.vdot(image, image).real  # op is Hermitian
+        second = np.vdot(image, image).real  # Q and P are Hermitian
         variances.append(max(second - mean**2, 0.0))
     return math.sqrt(variances[0] * variances[1])

@@ -54,13 +54,13 @@ def build_rep(table: StructureTable, d: int) -> FockRep:
     if d < 1:
         raise ValueError("d must be at least 1")
     d = table.effective_dimension(d)
-    table.ensure(d + 1)
     dim = d + 1
+    f_list, phase_list, _ = table.levels(0, dim + 1)
 
-    f = np.array([table.f(n) for n in range(dim)], dtype=float)
+    f = np.array(f_list[:dim], dtype=float)
     if not np.all(np.isfinite(f)):
         raise StructureOverflowError(d)
-    phases = np.array([table.phase(n) for n in range(1, dim)], dtype=complex)
+    phases = np.array(phase_list[1:dim], dtype=complex)
 
     roots = np.sqrt(f[1:])  # roots[n-1] = sqrt(f(n))
     levels = np.arange(dim)
@@ -172,7 +172,7 @@ def certify(rep: FockRep, tol: float = 1e-10) -> CertificationReport:
     a = _band(rep.mat_a, 1, "mat_a")
     adag = _band(rep.mat_adag, -1, "mat_adag")
     abar = _band(rep.mat_abar, -1, "mat_abar")
-    f = np.array([table.f(k) for k in range(rep.dim)])
+    f = np.array(table.levels(0, rep.dim)[0])
     big_f = np.array([spec.eval_F(k) for k in range(rep.dim)])
     big_g = np.array([spec.eval_G(k) for k in range(rep.dim)])
 

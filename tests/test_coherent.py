@@ -2,10 +2,14 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from defosc.algebra import StructureTable, phi_recurrence
+from defosc import coherent
+from defosc.algebra import StructureTable, make_spec, phi_recurrence
 from defosc.catalog import builtin_spec
 from defosc.coherent import (
     deformed_exp,
@@ -22,6 +26,8 @@ from defosc.errors import (
     TableMismatchError,
 )
 from defosc.fock import build_rep
+
+from series_reference import reference_state
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +68,24 @@ def geometric_table():
     return StructureTable(builtin_spec("arik-coon", {"q": 0.5}), 16)
 
 
+# phi -> 2 with a dip at n = 41: phi(41) = 0.5 * phi(40) - 1 = -2^-40, so
+# f(41) = 9.1e-13 and the terms of N(0.5) jump there after falling to 1e-24
+@pytest.fixture(scope="module")
+def dip_table():
+    return StructureTable(make_spec("dip", "0.5", "1 - 2*exp(-1000*(n-40)^2)"))
+
+
+def mpmath_dip_log_norm(x: float, levels: int) -> float:
+    """log sum_{n < levels} x^n / f(n)! for the dip spec, phi at 50 digits."""
+    with mpmath.workdps(50):
+        phi, term, total = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0)
+        for n in range(levels):
+            total += term
+            phi = phi / 2 + 1 - 2 * mpmath.exp(-1000 * (n - 40) ** 2)
+            term *= x / abs(phi)
+        return float(mpmath.log(total))
+
+
 # ---------------------------------------------------------------------------
 # deformed exponential
 # ---------------------------------------------------------------------------
@@ -85,15 +109,10 @@ class TestDeformedExp:
         with pytest.raises(OutsideDomainError):
             deformed_exp(geometric_table, x)
 
-    def test_unsafe_bypasses_radius_check(self, geometric_table):
-        # with the check disabled the divergent series runs into the term
-        # budget instead of the domain error
+    def test_budget_exhaustion_is_typed(self, harmonic_table, monkeypatch):
+        monkeypatch.setattr(coherent, "MAX_TERMS", 30)
         with pytest.raises(NonconvergenceError):
-            deformed_exp(geometric_table, 2.0, check_radius=False, max_terms=2000)
-
-    def test_budget_exhaustion_is_typed(self, harmonic_table):
-        with pytest.raises(NonconvergenceError):
-            deformed_exp(harmonic_table, 50.0, max_terms=30)
+            deformed_exp(harmonic_table, 50.0)
 
     def test_degenerate_sum_is_exact_and_finite(self, degenerate_spec):
         table = phi_recurrence(degenerate_spec, 8)
@@ -144,12 +163,31 @@ class TestMakeState:
             expected = 1.0 / math.sqrt(fact * norm)
             assert state.amps[n].real == pytest.approx(expected, rel=1e-10)
 
-    def test_probability_never_exceeds_unity(self, catalog_tables):
-        for table in catalog_tables.values():
-            for z in (0.2, 0.9 + 0.3j, 1.1):
-                state = make_state(table, z)
-                total = float(state.pmf.sum())
-                assert 1.0 - state.tail_bound - 1e-13 <= total <= 1.0 + 5e-13
+    def test_probability_never_exceeds_unity(self, catalog_tables, dip_table):
+        cases = [(table, z) for table in catalog_tables.values() for z in (0.2, 0.9 + 0.3j, 1.1)]
+        cases.append((dip_table, math.sqrt(0.5)))
+        for table, z in cases:
+            state = make_state(table, z)
+            total = float(state.pmf.sum())
+            assert 1.0 - state.tail_bound - 1e-13 <= total <= 1.0 + 5e-13
+
+    def test_dip_normalization_matches_mpmath(self, dip_table):
+        # a series stopped before n = 41 is 1.6e-12 low
+        state = make_state(dip_table, math.sqrt(0.5))
+        oracle = mpmath_dip_log_norm(0.5, 200)
+        assert abs(state.normalization_log - oracle) <= 1e-15
+        assert float(state.pmf.sum()) <= 1.0
+
+    @pytest.mark.parametrize("depth", [16, 10_000])
+    def test_late_degeneracy_ends_the_series(self, depth):
+        # phi(61) = 0.5 * phi(60) - 1 = 0.  At depth 16 the radius is
+        # undetermined and only the pass reaches the zero; at 10000 the
+        # radius probe finds it first
+        table = StructureTable(make_spec("late-zero", "0.5", "1 - 2*exp(-1000*(n-60)^2)"), radius_probe_depth=depth)
+        state = make_state(table, math.sqrt(0.5))
+        assert table.degeneracy == 61
+        assert state.truncation == 60
+        assert state.tail_bound == 0.0
 
     def test_label_outside_disk_rejected(self, geometric_table):
         with pytest.raises(OutsideDomainError) as info:
@@ -172,6 +210,16 @@ class TestMakeState:
         assert state.tail_bound == 0.0
         assert float(state.pmf.sum()) == pytest.approx(1.0, abs=1e-13)
 
+    def test_loose_tail_tol_keeps_the_normalization(self, harmonic_table, geometric_table):
+        # a loose tail_tol moves the cut, not the sum behind N(x); at
+        # 0.95 R the terms fall so slowly that 64 levels past the loose cut
+        # are still far from the default one
+        for table, z in ((harmonic_table, 0.9 + 0.3j), (geometric_table, math.sqrt(1.9))):
+            loose = make_state(table, z, tail_tol=1e-6)
+            assert loose.truncation < make_state(table, z).truncation
+            assert loose.tail_bound <= 1e-6
+            assert loose.normalization_log == deformed_exp(table, abs(z) ** 2)[0]
+
     def test_tail_tol_must_be_positive(self, harmonic_table):
         with pytest.raises(ValueError):
             make_state(harmonic_table, 1.0, tail_tol=0.0)
@@ -183,6 +231,47 @@ class TestMakeState:
         assert np.all(vec[state.truncation + 1:] == 0)
         with pytest.raises(DimensionMismatchError):
             state.vector(state.truncation)
+
+
+# ---------------------------------------------------------------------------
+# the one pass against the earlier three loops (tests/series_reference.py)
+# ---------------------------------------------------------------------------
+
+
+class TestSeriesReference:
+    def test_catalog_cuts_are_unchanged(self, catalog_tables):
+        for table in catalog_tables.values():
+            estimate = table.radius()
+            r_max = math.sqrt(0.97 * estimate.value) if estimate.kind == "finite" else 6.0
+            for k in range(12):
+                z = r_max * (k + 1) / 12 * cmath.exp(2j * math.pi * k / 12)
+                state = make_state(table, z)
+                log_norm, cut, tail_bound, amps = reference_state(table, z)
+                assert state.truncation == cut
+                assert abs(state.normalization_log - log_norm) <= 1e-14 * (1 + abs(log_norm))
+                assert state.tail_bound == pytest.approx(tail_bound, rel=1e-12)
+                assert np.allclose(state.amps, amps, rtol=1e-13, atol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        a=st.floats(0.3, 1.8),
+        b=st.floats(0.0, 0.4),
+        c=st.floats(0.2, 1.5),
+        d=st.floats(0.0, 0.5),
+        fraction=st.floats(0.01, 0.95),
+        tail_tol=st.sampled_from([1e-6, 1e-10, 1e-14, 1e-18]),
+    )
+    def test_affine_specs_agree(self, a, b, c, d, fraction, tail_tol):
+        spec = make_spec("affine", "a + b*n", "c + d*n", {"a": a, "b": b, "c": c, "d": d})
+        table = StructureTable(spec, radius_probe_depth=2000)
+        estimate = table.radius()
+        assume(estimate.kind != "undetermined")
+        x = fraction * (estimate.value if estimate.kind == "finite" else 40.0)
+        state = make_state(table, math.sqrt(x), tail_tol=tail_tol)
+        log_norm, cut, _, _ = reference_state(table, math.sqrt(x), tail_tol=tail_tol)
+        assert abs(state.truncation - cut) <= 1
+        assert abs(state.normalization_log - log_norm) <= 1e-13 * (1 + abs(log_norm))
+        assert state.tail_bound <= tail_tol
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +450,21 @@ class TestUncertaintyProduct:
             bound = abs(complex(np.vdot(vec, commutator @ vec))) / 2
             assert value >= bound - 1e-10
             assert value == pytest.approx(bound, abs=1e-8)
+
+    def test_bands_match_dense_products(self, catalog_tables):
+        for table in catalog_tables.values():
+            for z in (0.5, 0.3 + 0.4j, 1.2j):
+                state = make_state(table, z)
+                rep = build_rep(table, state.truncation + 2)
+                vec = state.vector(rep.dim)
+                dense_residual = np.linalg.norm(rep.mat_a @ vec - state.z * vec)
+                assert eigen_residual(state, rep) == pytest.approx(dense_residual, rel=1e-14, abs=1e-300)
+                variances = []
+                for op in ((rep.mat_a + rep.mat_adag) / math.sqrt(2), (rep.mat_a - rep.mat_adag) / (1j * math.sqrt(2))):
+                    image = op @ vec
+                    variances.append(np.vdot(image, image).real - np.vdot(vec, image).real ** 2)
+                dense_product = math.sqrt(variances[0] * variances[1])
+                assert uncertainty_product(state, rep) == pytest.approx(dense_product, rel=1e-14)
 
     def test_requires_two_levels_of_headroom(self, harmonic_table):
         state = make_state(harmonic_table, 1.0)
