@@ -394,8 +394,7 @@ def cmd_certify(args) -> int:
     table = algebra.phi_recurrence(spec, dim + 1)
     rep = fock.build_rep(table, dim)
     if args.inject_fault:
-        row, col = (2, 3) if rep.dim >= 4 else (0, 1)
-        rep.mat_a[row, col] += 0.1
+        rep.a[2 if rep.dim >= 4 else 0] += 0.1
     report = fock.certify(rep, tol)
     payload = {"algebra": spec.name, **report.as_dict()}
 

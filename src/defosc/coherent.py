@@ -237,8 +237,8 @@ def make_state(table: StructureTable, z: complex, tail_tol: float = DEFAULT_TAIL
 def eigen_residual(state: CoherentState, rep: FockRep) -> float:
     """2-norm of (a - z) applied to the truncated state.
 
-    Only the superdiagonal of ``rep.mat_a`` is read: a is applied as the
-    weighted shift ``(a v)[n] = sqrt(f(n+1)) v[n+1]``.
+    a is applied to its band ``rep.lowering()`` as the weighted shift
+    ``(a v)[n] = sqrt(f(n+1)) v[n+1]``.
     """
     if rep.dim < state.truncation + 1:
         raise DimensionMismatchError(
@@ -248,7 +248,7 @@ def eigen_residual(state: CoherentState, rep: FockRep) -> float:
         raise TableMismatchError("state and representation use different tables")
     vec = state.vector(rep.dim)
     image = np.zeros_like(vec)
-    image[:-1] = np.diagonal(rep.mat_a, 1) * vec[1:]
+    image[:-1] = rep.lowering() * vec[1:]
     return float(np.linalg.norm(image - state.z * vec))
 
 
@@ -285,9 +285,9 @@ def uncertainty_product(state: CoherentState, rep: FockRep) -> float:
 
     Units with hbar = 1.  The representation must extend at least two
     levels past the state's truncation so that adag acting on the top
-    kept level stays inside the matrix.  Only the superdiagonal of
-    ``rep.mat_a`` and the subdiagonal of ``rep.mat_adag`` are read: each
-    quadrature is applied as two weighted shifts.
+    kept level stays inside the representation.  Each quadrature is
+    applied as two weighted shifts, on the bands ``rep.lowering()`` and
+    ``rep.adag``.
     """
     if rep.dim < state.truncation + 2:
         raise DimensionMismatchError(
@@ -296,8 +296,7 @@ def uncertainty_product(state: CoherentState, rep: FockRep) -> float:
     if rep.table is not state.table:
         raise TableMismatchError("state and representation use different tables")
     vec = state.vector(rep.dim)
-    a = np.diagonal(rep.mat_a, 1)
-    adag = np.diagonal(rep.mat_adag, -1)
+    a, adag = rep.lowering(), rep.adag
     root2 = math.sqrt(2.0)
     variances = []
     # (upper, lower) bands of Q and of P

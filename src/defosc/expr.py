@@ -351,9 +351,12 @@ _MAX_INT_EXPONENT = 2**31
 def _int_pow(base: complex, k: int) -> complex:
     """base**k by binary exponentiation; exact for representable products."""
     if k < 0:
-        positive = _int_pow(base, -k)
+        try:
+            positive = _int_pow(base, -k)
+        except EvalDomainError:  # 2^-1074 is a double although 2^1074 is not
+            return _int_pow(1 / base, -k)
         if positive == 0:
-            raise EvalDomainError("zero raised to a negative power")
+            raise EvalDomainError("zero raised to a negative power" if base == 0 else "overflow in integer power")
         return 1 / positive
     finite_base = math.isfinite(base.real) and math.isfinite(base.imag)
     result = complex(1)

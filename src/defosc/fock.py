@@ -1,30 +1,28 @@
-"""Truncated Fock-space matrices and numerical certification.
+"""Truncated Fock-space ladder operators and numerical certification.
 
 The ladder operators act on the number basis as
 
     a|n>    = sqrt(f(n)) |n-1>,        adag|n> = sqrt(f(n+1)) |n+1>,
     abar|n> = c(n+1) sqrt(f(n+1)) |n+1>,
 
-with c the unit phase of phi.  On span{|0>..|D>} these are bidiagonal
-matrices; they provide an oracle for the defining relations that is
-completely independent of how the structure table was produced.
+with c the unit phase of phi.  On span{|0>..|D>} each is a weighted
+shift with one nonzero diagonal, and the representation stores just
+that diagonal; N = diag(0..D) is implied by the basis.  The bands
+provide an oracle for the defining relations that is completely
+independent of how the structure table was produced.
 
 Certification evaluates each relation as a matrix residual restricted
 to the sub-block n <= D-1: the top basis state necessarily breaks the
 products that raise before lowering (a adag, a abar), because truncation
-discards the |D+1> component.  Residuals use the max-entry norm.
-
-The matrices are stored dense, but certification reads only their bands
-(N diagonal, a superdiagonal, adag and abar subdiagonal).  Each relation
-is a product of weighted shifts, so it is evaluated entry by entry on
-the bands in O(D); checking that every entry off the bands is zero is
-the only O(D^2) step.  A representation that fails that check is
-refused with ValueError.
+discards the |D+1> component.  Residuals use the max-entry norm.  Each
+relation is a product of weighted shifts, so it is evaluated entry by
+entry on the bands in O(D).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,21 +32,44 @@ from .errors import StructureOverflowError
 
 @dataclass(frozen=True)
 class FockRep:
-    """Matrices of N, a, adag and abar at truncation dimension D+1."""
+    """Bands of a, adag and abar at truncation dimension D+1.
+
+    Entry k of each band joins |k> and |k+1>, k = 0..D-1: a[k] = <k|a|k+1>
+    = sqrt(f(k+1)), adag (an array of its own) holds the same values, and
+    abar[k] = <k+1|abar|k> = c(k+1) sqrt(f(k+1)).
+    """
 
     dim: int  # D + 1
     table: StructureTable
-    mat_n: np.ndarray
-    mat_a: np.ndarray
-    mat_adag: np.ndarray
-    mat_abar: np.ndarray
+    a: np.ndarray
+    adag: np.ndarray
+    abar: np.ndarray
+
+    @cached_property
+    def mat_a(self) -> np.ndarray:
+        """Dense a, built on first access; once built, it is the a that is read."""
+        matrix = np.zeros((self.dim, self.dim), dtype=complex)
+        np.fill_diagonal(matrix[:, 1:], self.a)
+        return matrix
+
+    def lowering(self) -> np.ndarray:
+        """The band of a that every reader uses: ``a`` or, once ``mat_a`` has
+        been built (and perhaps edited in place), its superdiagonal, after a
+        ValueError for any nonzero entry off it.
+        """
+        if "mat_a" not in self.__dict__:
+            return self.a
+        band = np.diagonal(self.mat_a, 1)
+        if np.count_nonzero(self.mat_a.view(float)) != np.count_nonzero(band.real) + np.count_nonzero(band.imag):
+            raise ValueError("mat_a has a nonzero entry off its band (diagonal +1)")
+        return band
 
 
 def build_rep(table: StructureTable, d: int) -> FockRep:
     """Build the truncated representation on span{|0>..|D>}.
 
     ``d`` is clamped below a degeneracy: if phi(n0) = 0 for n0 <= d the
-    ladder ends at |n0 - 1> and the matrices shrink accordingly.  abar
+    ladder ends at |n0 - 1> and the bands shrink accordingly.  abar
     uses the table's own phases, which keeps abar a = phi(N) exact.
     """
     if d < 1:
@@ -62,19 +83,8 @@ def build_rep(table: StructureTable, d: int) -> FockRep:
         raise StructureOverflowError(d)
     phases = np.array(phase_list[1:dim], dtype=complex)
 
-    roots = np.sqrt(f[1:])  # roots[n-1] = sqrt(f(n))
-    levels = np.arange(dim)
-    lower, upper = levels[:-1], levels[1:]
-    # one zeroed block for all four matrices: from D = 724 on it passes
-    # 32 MiB, which glibc always maps fresh, so the cost of a build does not
-    # depend on what earlier builds left on the heap
-    mat_n, mat_a, mat_adag, mat_abar = np.zeros((4, dim, dim), dtype=complex)
-    mat_n[levels, levels] = levels
-    mat_a[lower, upper] = roots
-    mat_adag[upper, lower] = roots
-    mat_abar[upper, lower] = phases * roots
-
-    return FockRep(dim, table, mat_n, mat_a, mat_adag, mat_abar)
+    roots = np.sqrt(f[1:])  # roots[k] = sqrt(f(k+1))
+    return FockRep(dim, table, roots.astype(complex), roots.astype(complex), phases * roots)
 
 
 RELATION_NAMES = (
@@ -119,18 +129,6 @@ class CertificationReport:
         }
 
 
-def _band(matrix: np.ndarray, offset: int, name: str) -> np.ndarray:
-    """Diagonal ``offset`` of ``matrix``, after checking that nothing lies off it.
-
-    The check counts nonzero real and imaginary parts, so it reads the
-    matrix once without arithmetic.
-    """
-    band = np.diagonal(matrix, offset)
-    if np.count_nonzero(matrix.view(float)) != np.count_nonzero(band.real) + np.count_nonzero(band.imag):
-        raise ValueError(f"{name} has a nonzero entry off its band (diagonal {offset:+d})")
-    return band
-
-
 def _peak(values: np.ndarray) -> float:
     return float(np.abs(values).max(initial=0.0))
 
@@ -140,15 +138,14 @@ def _scaled_residual(difference: np.ndarray, *operands: np.ndarray) -> float:
 
 
 def certify(rep: FockRep, tol: float = 1e-10) -> CertificationReport:
-    """Evaluate the defining relations on the bands of the matrices.
+    """Evaluate the defining relations on the bands of the representation.
 
     Every relation is a product of weighted shifts, so it is zero off one
     diagonal and each of its entries is a single product of band
     entries.  The relations are evaluated entry by entry on the bands,
-    in O(D), multiplying in the order the matrix products would; only
-    the check that each matrix is banded reads all (D+1)^2 entries.
-    The residuals are the max-entry residuals of the matrix relations
-    on n <= D-1.
+    in O(D), multiplying in the order the matrix products would.  The
+    residuals are the max-entry residuals of the matrix relations on
+    n <= D-1.
 
     Failures are verdicts, not exceptions: the report carries one
     residual and pass flag per relation.
@@ -156,10 +153,9 @@ def certify(rep: FockRep, tol: float = 1e-10) -> CertificationReport:
     Raises
     ------
     ValueError
-        If ``tol`` is not positive, or if any matrix of ``rep`` has a
-        nonzero entry off its band (N diagonal, a superdiagonal, adag
-        and abar subdiagonal).  Such a representation is refused, not
-        certified.
+        If ``tol`` is not positive, or if ``rep.mat_a`` has been built
+        and has a nonzero entry off its superdiagonal.  Such a
+        representation is refused, not certified.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -168,10 +164,8 @@ def certify(rep: FockRep, tol: float = 1e-10) -> CertificationReport:
     spec = table.spec
 
     # n[k] = k on 0..D; a, adag, abar[k] join |k> and |k+1>, k = 0..D-1
-    n = _band(rep.mat_n, 0, "mat_n")
-    a = _band(rep.mat_a, 1, "mat_a")
-    adag = _band(rep.mat_adag, -1, "mat_adag")
-    abar = _band(rep.mat_abar, -1, "mat_abar")
+    n = np.arange(rep.dim)
+    a, adag, abar = rep.lowering(), rep.adag, rep.abar
     f = np.array(table.levels(0, rep.dim)[0])
     big_f = np.array([spec.eval_F(k) for k in range(rep.dim)])
     big_g = np.array([spec.eval_G(k) for k in range(rep.dim)])

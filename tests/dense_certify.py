@@ -11,6 +11,14 @@ import numpy as np
 from defosc.fock import FockRep
 
 
+def dense_matrices(rep: FockRep) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Dense N, a, adag and abar; a is ``rep.mat_a``, so edits to it show."""
+    n_mat = np.diag(np.arange(rep.dim)).astype(complex)
+    adag = np.diag(rep.adag, -1)
+    abar = np.diag(rep.abar, -1)
+    return n_mat, rep.mat_a, adag, abar
+
+
 def _max_entry(matrix: np.ndarray, block: int) -> float:
     return float(np.abs(matrix[:block, :block]).max()) if block > 0 else 0.0
 
@@ -26,7 +34,7 @@ def dense_certify(rep: FockRep, tol: float = 1e-10) -> tuple[dict[str, float], d
     table = rep.table
     spec = table.spec
 
-    n_mat, a, adag, abar = rep.mat_n, rep.mat_a, rep.mat_adag, rep.mat_abar
+    n_mat, a, adag, abar = dense_matrices(rep)
     f_diag = np.diag([table.f(n) for n in range(rep.dim)]).astype(complex)
     f_shift_diag = np.diag([table.f(n + 1) for n in range(rep.dim)]).astype(complex)
     big_f = np.diag([spec.eval_F(n) for n in range(rep.dim)])

@@ -140,6 +140,21 @@ class TestExitCodes:
         assert code == 1
         assert '"pass": false' in out
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (["coherent", "--builtin", "harmonic", "--z", "300"], 0),
+            (["certify", "--builtin", "harmonic", "--dim", "100000"], 0),
+            (["certify", "--builtin", "harmonic", "--dim", "100000", "--inject-fault"], 1),
+            (["certify", "--builtin", "pq", "--param", "p=2", "--param", "q=1.5", "--dim", "1024"], 0),
+        ],
+    )
+    def test_large_dimension_gives_a_verdict(self, capsys, argv, expected):
+        # a dense (D+1)^2 complex matrix is 160 GB at D = 100000; the pq
+        # case evaluates p^(-n) down to 2^-1024, past 1/DBL_MAX
+        code, _, err = run_cli(capsys, [*argv, "--format", "json"])
+        assert (code, err) == (expected, "")
+
     def test_config_error_is_two(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"name": "b", "F": "q^^2", "G": "1"}))

@@ -27,6 +27,7 @@ from defosc.errors import (
 )
 from defosc.fock import build_rep
 
+from dense_certify import dense_matrices
 from series_reference import reference_state
 
 
@@ -443,8 +444,9 @@ class TestUncertaintyProduct:
             state = make_state(table, 0.5)
             rep = build_rep(table, state.truncation + 2)
             value = uncertainty_product(state, rep)
-            quad_q = (rep.mat_a + rep.mat_adag) / math.sqrt(2)
-            quad_p = (rep.mat_a - rep.mat_adag) / (1j * math.sqrt(2))
+            _, a, adag, _ = dense_matrices(rep)
+            quad_q = (a + adag) / math.sqrt(2)
+            quad_p = (a - adag) / (1j * math.sqrt(2))
             vec = state.vector(rep.dim)
             commutator = quad_q @ quad_p - quad_p @ quad_q
             bound = abs(complex(np.vdot(vec, commutator @ vec))) / 2
@@ -456,15 +458,18 @@ class TestUncertaintyProduct:
             for z in (0.5, 0.3 + 0.4j, 1.2j):
                 state = make_state(table, z)
                 rep = build_rep(table, state.truncation + 2)
+                band_residual = eigen_residual(state, rep)
+                band_product = uncertainty_product(state, rep)
                 vec = state.vector(rep.dim)
-                dense_residual = np.linalg.norm(rep.mat_a @ vec - state.z * vec)
-                assert eigen_residual(state, rep) == pytest.approx(dense_residual, rel=1e-14, abs=1e-300)
+                _, a, adag, _ = dense_matrices(rep)
+                dense_residual = np.linalg.norm(a @ vec - state.z * vec)
+                assert band_residual == pytest.approx(dense_residual, rel=1e-14, abs=1e-300)
                 variances = []
-                for op in ((rep.mat_a + rep.mat_adag) / math.sqrt(2), (rep.mat_a - rep.mat_adag) / (1j * math.sqrt(2))):
+                for op in ((a + adag) / math.sqrt(2), (a - adag) / (1j * math.sqrt(2))):
                     image = op @ vec
                     variances.append(np.vdot(image, image).real - np.vdot(vec, image).real ** 2)
                 dense_product = math.sqrt(variances[0] * variances[1])
-                assert uncertainty_product(state, rep) == pytest.approx(dense_product, rel=1e-14)
+                assert band_product == pytest.approx(dense_product, rel=1e-14)
 
     def test_requires_two_levels_of_headroom(self, harmonic_table):
         state = make_state(harmonic_table, 1.0)

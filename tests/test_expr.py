@@ -125,6 +125,15 @@ class TestEvaluate:
         with pytest.raises(EvalDomainError):
             evaluate(parse("n^(-1)"), 0, {})
 
+    @pytest.mark.parametrize("k", [1023, 1024, 1074, 1075])
+    def test_negative_power_below_overflow_of_positive(self, k):
+        # 2^k overflows from k = 1024 on, while 2^-k is a double up to 1074
+        assert evaluate(parse("p^(-n)"), k, {"p": 2}) == 2.0**-k
+
+    def test_negative_power_of_tiny_base_overflows(self):
+        with pytest.raises(EvalDomainError, match="overflow"):
+            evaluate(parse("p^(-n)"), 1100, {"p": 0.5})
+
 
 class TestErrors:
     def test_syntax_error_carries_offset_and_expectations(self):
