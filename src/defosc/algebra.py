@@ -56,7 +56,7 @@ class DeformationSpec:
     name: str
     F: Expression
     G: Expression
-    params: Mapping[str, complex] = field(default_factory=dict)
+    params: Mapping[str, complex] = field(default_factory=dict, hash=False)  # unhashable; == compares it
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "params", dict(self.params))

@@ -237,6 +237,8 @@ def load_config(path: str) -> Config:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8: {exc}") from exc
     return config_from_dict(raw)
 
 
@@ -422,6 +424,10 @@ def cmd_coherent(args) -> int:
     if args.z is None:
         raise ConfigError("coherent requires --z")
     z = parse_complex(args.z)
+    try:
+        abs(z) ** 2
+    except OverflowError:
+        raise ConfigError(f"--z {args.z!r}: |z|^2 is beyond double range") from None
     tail_tol = overrides.get("tail_tol", coherent.DEFAULT_TAIL_TOL)
     table = _table_for(spec, overrides)
     state = coherent.make_state(table, z, tail_tol=tail_tol)

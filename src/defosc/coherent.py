@@ -237,7 +237,7 @@ def make_state(table: StructureTable, z: complex, tail_tol: float = DEFAULT_TAIL
 def eigen_residual(state: CoherentState, rep: FockRep) -> float:
     """2-norm of (a - z) applied to the truncated state.
 
-    a is applied to its band ``rep.lowering()`` as the weighted shift
+    a is applied to its band ``rep.a`` as the weighted shift
     ``(a v)[n] = sqrt(f(n+1)) v[n+1]``.
     """
     if rep.dim < state.truncation + 1:
@@ -248,7 +248,7 @@ def eigen_residual(state: CoherentState, rep: FockRep) -> float:
         raise TableMismatchError("state and representation use different tables")
     vec = state.vector(rep.dim)
     image = np.zeros_like(vec)
-    image[:-1] = rep.lowering() * vec[1:]
+    image[:-1] = rep.a * vec[1:]
     return float(np.linalg.norm(image - state.z * vec))
 
 
@@ -286,7 +286,7 @@ def uncertainty_product(state: CoherentState, rep: FockRep) -> float:
     Units with hbar = 1.  The representation must extend at least two
     levels past the state's truncation so that adag acting on the top
     kept level stays inside the representation.  Each quadrature is
-    applied as two weighted shifts, on the bands ``rep.lowering()`` and
+    applied as two weighted shifts, on the bands ``rep.a`` and
     ``rep.adag``.
     """
     if rep.dim < state.truncation + 2:
@@ -296,7 +296,7 @@ def uncertainty_product(state: CoherentState, rep: FockRep) -> float:
     if rep.table is not state.table:
         raise TableMismatchError("state and representation use different tables")
     vec = state.vector(rep.dim)
-    a, adag = rep.lowering(), rep.adag
+    a, adag = rep.a, rep.adag
     root2 = math.sqrt(2.0)
     variances = []
     # (upper, lower) bands of Q and of P

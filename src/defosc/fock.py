@@ -7,9 +7,9 @@ The ladder operators act on the number basis as
 
 with c the unit phase of phi.  On span{|0>..|D>} each is a weighted
 shift with one nonzero diagonal, and the representation stores just
-that diagonal; N = diag(0..D) is implied by the basis.  The bands
-provide an oracle for the defining relations that is completely
-independent of how the structure table was produced.
+that diagonal; N = diag(0..D) is implied by the basis.  The bands are
+read from the structure table: only the drift relation, with F and G
+evaluated afresh from the spec, checks the table; the rest check the bands.
 
 Certification evaluates each relation as a matrix residual restricted
 to the sub-block n <= D-1: the top basis state necessarily breaks the
@@ -22,7 +22,6 @@ entry on the bands in O(D).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,12 +30,31 @@ from .errors import StructureOverflowError
 
 
 @dataclass(frozen=True)
+class _BandIndex:
+    """``mat_a[r, r + 1]`` reads and writes ``a[r]``; any other key raises ValueError."""
+
+    band: np.ndarray
+
+    def _row(self, key) -> int:
+        r, c = key if isinstance(key, tuple) and len(key) == 2 else (None, None)
+        if isinstance(r, int) and isinstance(c, int) and c == r + 1 and 0 <= r < len(self.band):
+            return r
+        raise ValueError(f"mat_a key {key!r} is off the band of a; only mat_a[r, r + 1] is stored")
+
+    def __getitem__(self, key):
+        return self.band[self._row(key)]
+
+    def __setitem__(self, key, value) -> None:
+        self.band[self._row(key)] = value
+
+
+@dataclass(frozen=True)
 class FockRep:
     """Bands of a, adag and abar at truncation dimension D+1.
 
     Entry k of each band joins |k> and |k+1>, k = 0..D-1: a[k] = <k|a|k+1>
     = sqrt(f(k+1)), adag (an array of its own) holds the same values, and
-    abar[k] = <k+1|abar|k> = c(k+1) sqrt(f(k+1)).
+    abar[k] = <k+1|abar|k> = c(k+1) sqrt(f(k+1)).  ``mat_a[k, k+1]`` is a[k].
     """
 
     dim: int  # D + 1
@@ -45,24 +63,9 @@ class FockRep:
     adag: np.ndarray
     abar: np.ndarray
 
-    @cached_property
-    def mat_a(self) -> np.ndarray:
-        """Dense a, built on first access; once built, it is the a that is read."""
-        matrix = np.zeros((self.dim, self.dim), dtype=complex)
-        np.fill_diagonal(matrix[:, 1:], self.a)
-        return matrix
-
-    def lowering(self) -> np.ndarray:
-        """The band of a that every reader uses: ``a`` or, once ``mat_a`` has
-        been built (and perhaps edited in place), its superdiagonal, after a
-        ValueError for any nonzero entry off it.
-        """
-        if "mat_a" not in self.__dict__:
-            return self.a
-        band = np.diagonal(self.mat_a, 1)
-        if np.count_nonzero(self.mat_a.view(float)) != np.count_nonzero(band.real) + np.count_nonzero(band.imag):
-            raise ValueError("mat_a has a nonzero entry off its band (diagonal +1)")
-        return band
+    @property
+    def mat_a(self) -> _BandIndex:
+        return _BandIndex(self.a)
 
 
 def build_rep(table: StructureTable, d: int) -> FockRep:
@@ -148,14 +151,8 @@ def certify(rep: FockRep, tol: float = 1e-10) -> CertificationReport:
     n <= D-1.
 
     Failures are verdicts, not exceptions: the report carries one
-    residual and pass flag per relation.
-
-    Raises
-    ------
-    ValueError
-        If ``tol`` is not positive, or if ``rep.mat_a`` has been built
-        and has a nonzero entry off its superdiagonal.  Such a
-        representation is refused, not certified.
+    residual and pass flag per relation.  Only a ``tol`` that is not
+    positive raises, with ValueError.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -165,7 +162,7 @@ def certify(rep: FockRep, tol: float = 1e-10) -> CertificationReport:
 
     # n[k] = k on 0..D; a, adag, abar[k] join |k> and |k+1>, k = 0..D-1
     n = np.arange(rep.dim)
-    a, adag, abar = rep.lowering(), rep.adag, rep.abar
+    a, adag, abar = rep.a, rep.adag, rep.abar
     f = np.array(table.levels(0, rep.dim)[0])
     big_f = np.array([spec.eval_F(k) for k in range(rep.dim)])
     big_g = np.array([spec.eval_G(k) for k in range(rep.dim)])

@@ -34,7 +34,7 @@ from typing import Callable, Mapping
 
 from .algebra import StructureTable
 from .errors import WeightError
-from .expr import Expression, evaluate, parse
+from .expr import evaluate, parse
 
 # 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1].
 _GK_NODES = (
@@ -122,21 +122,12 @@ def adaptive_quadrature(
 class WeightSpec:
     """A candidate radial weight W on (0, R); R may be infinite."""
 
-    kind: str  # "builtin:<name>" or "expression"
     support: tuple[float, float]
     description: str
-    expression: Expression | None = None
-    bindings: Mapping[str, complex] | None = None
-    fn: Callable[[float], float] | None = None
+    fn: Callable[[float], float]
 
     def __call__(self, x: float) -> float:
-        if self.fn is not None:
-            return self.fn(x)
-        value = evaluate(self.expression, x, self.bindings or {})
-        scale = 1.0 + abs(value.real)
-        if abs(value.imag) > 1e-12 * scale:
-            raise WeightError(f"weight is not real at x = {x}: {value}")
-        return value.real
+        return self.fn(x)
 
 
 def _probe_grid(support: tuple[float, float]) -> list[float]:
@@ -162,7 +153,15 @@ def weight_from_expression(
 ) -> WeightSpec:
     """Parse a weight density in the variable x and validate it on a probe grid."""
     expression = parse(source, variable="x")
-    weight = WeightSpec("expression", support, source, expression=expression, bindings=dict(bindings or {}))
+    bindings = dict(bindings or {})
+
+    def fn(x: float) -> float:
+        value = evaluate(expression, x, bindings)
+        if abs(value.imag) > 1e-12 * (1.0 + abs(value.real)):
+            raise WeightError(f"weight is not real at x = {x}: {value}")
+        return value.real
+
+    weight = WeightSpec(support, source, fn)
     _validate_weight(weight)
     return weight
 
@@ -170,12 +169,7 @@ def weight_from_expression(
 def builtin_weight(name: str) -> WeightSpec:
     """Weights known in closed form; only the undeformed pair ships."""
     if name == "harmonic":
-        return WeightSpec(
-            "builtin:harmonic",
-            (0.0, math.inf),
-            "exp(-x) on (0, inf)",
-            fn=lambda x: math.exp(-x),
-        )
+        return WeightSpec((0.0, math.inf), "exp(-x) on (0, inf)", lambda x: math.exp(-x))
     raise WeightError(f"no builtin weight named {name!r}")
 
 
@@ -277,6 +271,8 @@ def check_moments(
         if mapped:
             def mapped_integrand(t: float, _g=integrand) -> float:
                 u = 1.0 - t
+                if u == 0.0:
+                    return math.inf  # a node rounded onto t = 1; reported as nonconvergence
                 return _g(t / u) / (u * u)
 
             value, _, panels, converged = adaptive_quadrature(mapped_integrand, 0.0, 1.0, quad_rel_tol)

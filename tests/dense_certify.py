@@ -12,11 +12,12 @@ from defosc.fock import FockRep
 
 
 def dense_matrices(rep: FockRep) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Dense N, a, adag and abar; a is ``rep.mat_a``, so edits to it show."""
+    """Dense N, a, adag and abar, built from the bands of ``rep``."""
     n_mat = np.diag(np.arange(rep.dim)).astype(complex)
+    a = np.diag(rep.a, 1)
     adag = np.diag(rep.adag, -1)
     abar = np.diag(rep.abar, -1)
-    return n_mat, rep.mat_a, adag, abar
+    return n_mat, a, adag, abar
 
 
 def _max_entry(matrix: np.ndarray, block: int) -> float:

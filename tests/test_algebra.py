@@ -296,6 +296,15 @@ class TestSpecValidation:
         with pytest.raises(EvalError):
             DeformationSpec("bad", F=parse("q"), G=parse("1"), params={})
 
+    def test_spec_is_hashable(self):
+        spec = builtin_spec("arik-coon", {"q": 0.5})
+        same = builtin_spec("arik-coon", {"q": 0.5})
+        other = builtin_spec("arik-coon", {"q": 0.7})
+        assert hash(spec) == hash(same)
+        assert spec == same
+        assert spec != other
+        assert len({spec, same, other}) == 2
+
     def test_complex_parameters_supported(self):
         spec = make_spec("rotated", "1", "c", {"c": cmath.exp(0.3j)})
         table = phi_recurrence(spec, 5)

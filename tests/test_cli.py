@@ -235,6 +235,30 @@ class TestExitCodes:
         assert code == 2
         assert "not finite" in err
 
+    @pytest.mark.parametrize("label", ["1e200", "1e308+1e308i"])
+    def test_label_beyond_double_range_is_two(self, capsys, label):
+        # |z|^2 overflows a double, though z itself is finite
+        code, out, err = run_cli(capsys, ["coherent", "--builtin", "harmonic", "--z", label])
+        assert (code, out) == (2, "")
+        assert "beyond double range" in err
+
+    def test_non_utf8_config_is_two(self, capsys, tmp_path):
+        config = tmp_path / "utf16.json"
+        config.write_bytes(b"\xff\xfe{}")
+        code, out, err = run_cli(capsys, ["structure", "--config", str(config)])
+        assert (code, out) == (2, "")
+        assert "not UTF-8" in err
+
+    def test_weight_singular_at_mapped_end_fails_verdict(self, capsys):
+        # 1/x on (0, inf): a quadrature node rounds onto t = 1 of the map
+        # x = t / (1 - t); the panel is unconverged, not a traceback
+        code, out, err = run_cli(
+            capsys,
+            ["moments", "--builtin", "harmonic", "--weight", "1/x", "--n-max", "1", "--format", "json"],
+        )
+        assert (code, err) == (1, "")
+        assert [m["converged"] for m in json.loads(out)["moments"]] == [False, False]
+
     def test_unwritable_out_is_two(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
         code, _, err = run_cli(capsys, ["structure", "--builtin", "harmonic", "--out", str(target)])

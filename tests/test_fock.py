@@ -19,15 +19,14 @@ from dense_certify import dense_certify, dense_matrices
 
 class TestBuildRep:
     def test_undeformed_ladder_entries(self, harmonic_table):
-        rep = build_rep(harmonic_table, 2)
-        a = rep.mat_a
+        _, a, _, _ = dense_matrices(build_rep(harmonic_table, 2))
         nonzero = {(i, j): a[i, j] for i in range(3) for j in range(3) if a[i, j] != 0}
         assert nonzero == {(0, 1): 1.0, (1, 2): pytest.approx(math.sqrt(2))}
 
     def test_vacuum_column_is_zero(self, catalog_tables):
         for table in catalog_tables.values():
-            rep = build_rep(table, 8)
-            assert np.all(rep.mat_a[:, 0] == 0)
+            _, a, _, _ = dense_matrices(build_rep(table, 8))
+            assert np.all(a[:, 0] == 0)
 
     def test_geometric_entry(self):
         table = phi_recurrence(builtin_spec("arik-coon", {"q": 0.5}), 4)
@@ -194,22 +193,31 @@ class TestBandCertifyMatchesDense:
         assert report.passes == passes
 
     def test_off_band_entry_is_refused(self, harmonic_table):
+        # the band of a is entries (k, k + 1), k = 0..D-1, with D = 8 here;
+        # anything else is refused at the write, before certify sees it
         rep = build_rep(harmonic_table, 8)
-        rep.mat_a[3, 2] = 1e-300j
-        with pytest.raises(ValueError, match="mat_a"):
-            certify(rep)
+        before = certify(rep)
+        for key in [(3, 2), (2, 2), (0, 0), (8, 9), (-1, 0), (7.0, 8), (slice(None), 0), 2, (1, 2, 3)]:
+            with pytest.raises(ValueError, match="mat_a"):
+                rep.mat_a[key] = 1e-300j
+            with pytest.raises(ValueError, match="mat_a"):
+                rep.mat_a[key]
+        assert certify(rep) == before
 
     def test_band_fault_matches_dense_fault(self, harmonic_table):
-        # adag is an array of its own: were it a view of a, the band fault
-        # would move adag too and the two reports would differ
+        # mat_a writes into a; adag is an array of its own, so the fault
+        # leaves it alone and a*adag-f(N+1) sees a differ from adag
+        clean = build_rep(harmonic_table, 16)
         on_band = build_rep(harmonic_table, 16)
         on_band.a[2] += 0.1
         on_dense = build_rep(harmonic_table, 16)
         on_dense.mat_a[2, 3] += 0.1
+        assert on_dense.mat_a[2, 3] == on_band.a[2] == clean.a[2] + 0.1
+        assert np.array_equal(on_dense.adag, clean.adag)
         report = certify(on_band)
         assert report == certify(on_dense)
         assert report.passes["[N,adag]-adag"]
-        assert not report.passed
+        assert not report.passes["a*adag-f(N+1)"]
 
     def test_memory_stays_linear_in_dimension(self):
         # one dense complex matrix is 16.8 MB at D = 1024 and 59 MB at the
@@ -222,6 +230,11 @@ class TestBandCertifyMatchesDense:
             report = certify(build_rep(certify_table, 1024))
             certify_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
+            faulty = build_rep(certify_table, 1024)
+            faulty.mat_a[2, 3] += 0.1  # the fault of certify --inject-fault
+            fault_report = certify(faulty)
+            fault_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
             rep = build_rep(state.table, state.truncation + 1)
             eigen_residual(state, rep)
             uncertainty_product(state, rep)
@@ -229,9 +242,20 @@ class TestBandCertifyMatchesDense:
         finally:
             tracemalloc.stop()
         assert report.passed
+        assert not fault_report.passed
         assert rep.dim == 1918
         assert certify_peak < 4e6
+        assert fault_peak < 4e6
         assert coherent_peak < 4e6
+
+    def test_large_dimension_fault_gives_a_verdict(self):
+        # the fault as the benchmark writes it; a dense (D+1)^2 complex
+        # matrix would be 160 GB at D = 100000
+        rep = build_rep(phi_recurrence(builtin_spec("harmonic", {}), 100001), 100000)
+        rep.mat_a[2, 3] += 0.1
+        report = certify(rep)
+        assert not report.passed
+        assert not report.passes["adag*a-f(N)"]
 
 
 class TestExpectation:
