@@ -456,6 +456,31 @@ class TestGoldenFiles:
         assert first == second
 
 
+class TestRenderedGoldens:
+    """Byte-compare every other format each verb offers on the same fixtures,
+    plus a structure spec whose product form is inapplicable (F(1) = 0)."""
+
+    NAMES = [
+        "certify_biedenharn.table",
+        *(f"{stem}.{fmt}" for stem in ("coherent_harmonic", "moments_harmonic", "structure_arik_coon")
+          for fmt in ("csv", "table")),
+        *(f"structure_zero_factor.{fmt}" for fmt in ("csv", "json", "table")),
+    ]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_byte_stable_output(self, capsys, tmp_path, name):
+        stem, fmt = name.rsplit(".", 1)
+        if stem == "structure_zero_factor":
+            config = tmp_path / "zero.json"
+            config.write_text(json.dumps({"name": "zero-factor", "F": "1 - n", "G": "1"}))
+            argv = ["structure", "--config", str(config), "--n-max", "8"]
+        else:
+            argv = TestGoldenFiles.CASES[f"{stem}.json"][:-2]  # drop "--format json"
+        code, out, err = run_cli(capsys, argv + ["--format", fmt])
+        assert (code, err) == (0, "")
+        assert out.encode("utf-8") == (GOLDEN_DIR / name).read_bytes()
+
+
 class TestModuleEntry:
     def test_python_dash_m(self):
         # the child finds the same package as this process, installed or not
