@@ -155,7 +155,7 @@ class StructureTable:
             self._overflow_at = k + 1
             raise StructureOverflowError(k + 1)
 
-        if magnitude <= DEGENERACY_RTOL * (1.0 + abs(drift) + abs(gk)):
+        if magnitude <= DEGENERACY_RTOL * (abs(drift) + abs(gk)):
             phi, f, phase = 0j, 0.0, complex(1.0)
             if self._degeneracy is None:
                 self._degeneracy = k + 1
@@ -196,12 +196,6 @@ class StructureTable:
         self.ensure(stop - 1)
         return self._f[start:stop], self._phase[start:stop], self._log_f_fact[start:stop]
 
-    def effective_dimension(self, requested: int) -> int:
-        """Largest usable ladder index: requested, clamped below a degeneracy."""
-        if self._degeneracy is not None and self._degeneracy <= requested:
-            return self._degeneracy - 1
-        return requested
-
     # -- radius ------------------------------------------------------------
 
     def radius(self) -> "RadiusEstimate":
@@ -218,10 +212,9 @@ def phi_recurrence(spec: DeformationSpec, n_max: int) -> StructureTable:
     """Tabulate phi(0..n_max) by the defining recurrence.
 
     This is the authoritative evaluation route: it involves no division,
-    so it applies even where F vanishes.
+    so it applies even where F vanishes.  A negative ``n_max`` raises
+    ValueError.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     return StructureTable(spec, n_max)
 
 

@@ -11,6 +11,13 @@ Exit codes (stable): 0 success/pass, 1 verdict fail, 2 configuration
 error, 3 evaluation error, 4 domain error (argument outside the
 convergence disk).
 
+Each verb is a handler ``cmd_<verb>(args, spec, overrides)`` that
+computes and returns ``(passed, payload, render)``: the verdict, the
+payload that ``--format json`` prints, and ``render(fmt)``, which gives
+the text of the other formats the verb offers.  ``main`` alone reads
+the spec, writes the one output to stdout or ``--out``, maps
+``passed`` to exit 0 or 1, and maps a ``DefoscError`` to exit 2, 3 or 4.
+
 JSON output is canonical: keys sorted, floats rendered with 17
 significant digits, complex values as "a+bi" strings, so repeated runs
 are byte-identical and safe to diff or golden-test.  Human tables round
@@ -24,17 +31,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from . import algebra, coherent, fock, moments
 from .catalog import CATALOG, builtin_spec
-from .errors import (
-    ConfigError,
-    DefoscError,
-    EvalError,
-    ExprError,
-    OutsideDomainError,
-)
+from .errors import ConfigError, DefoscError, ExprError, OutsideDomainError
 from .expr import parse
 
 EXIT_OK = 0
@@ -44,6 +45,8 @@ EXIT_EVAL = 3
 EXIT_DOMAIN = 4
 
 STRUCTURE_DISCREPANCY_TOL = 1e-10
+
+Verdict = tuple[bool, dict, Callable[[str], str]]  # (passed, payload, render); see the module docstring
 
 
 # --------------------------------------------------------------------------
@@ -277,13 +280,19 @@ def _table_for(spec: algebra.DeformationSpec, overrides: dict[str, float]) -> al
 
 
 def _human(value: float) -> str:
-    if isinstance(value, float) and math.isinf(value):
-        return "inf" if value > 0 else "-inf"
     return format(value, ".6g")
 
 
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "FAIL"
+
+
+def _csv(header: str, lines: Iterable[str]) -> str:
+    return "\n".join([header, *lines]) + "\n"
+
+
 def _emit(args, text: str) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -308,8 +317,7 @@ def _render_table(headers: list[str], rows: list[list[str]]) -> str:
 # --------------------------------------------------------------------------
 
 
-def cmd_structure(args) -> int:
-    spec, _ = _spec_from_args(args)
+def cmd_structure(args, spec, overrides) -> Verdict:
     n_max = args.n_max
     table = algebra.phi_recurrence(spec, n_max)
     closed: list[complex] | None
@@ -318,26 +326,15 @@ def cmd_structure(args) -> int:
     except DefoscError:
         closed = None
 
-    rows = []
-    max_disc: float | None = None
+    # (n, phi, f, log f!, phi_closed, discrepancy) per level; the last two
+    # are None when the product form is inapplicable
+    levels = []
     for n in range(n_max + 1):
         phi = table.phi(n)
-        row: dict[str, Any] = {
-            "n": n,
-            "phi": format_complex(phi),
-            "f": table.f(n),
-            "log_f_factorial": table.log_f_factorial(n),
-        }
-        if closed is not None:
-            row["phi_closed"] = format_complex(closed[n])
-            disc = abs(closed[n] - phi) / (1.0 + abs(phi))
-            row["discrepancy"] = disc
-            max_disc = disc if max_disc is None else max(max_disc, disc)
-        else:
-            row["phi_closed"] = None
-            row["discrepancy"] = None
-        rows.append(row)
-
+        phi_closed = closed[n] if closed is not None else None
+        disc = abs(phi_closed - phi) / (1.0 + abs(phi)) if phi_closed is not None else None
+        levels.append((n, phi, table.f(n), table.log_f_factorial(n), phi_closed, disc))
+    max_disc = max(level[5] for level in levels) if closed is not None else None
     passed = max_disc is None or max_disc <= STRUCTURE_DISCREPANCY_TOL
     payload = {
         "algebra": spec.name,
@@ -345,43 +342,34 @@ def cmd_structure(args) -> int:
         "closed_form": "ok" if closed is not None else "inapplicable",
         "max_discrepancy": max_disc,
         "pass": passed,
-        "rows": rows,
+        "rows": [
+            {"n": n, "phi": format_complex(phi), "f": f, "log_f_factorial": log_fact,
+             "phi_closed": format_complex(phi_closed) if phi_closed is not None else None,
+             "discrepancy": disc}
+            for n, phi, f, log_fact, phi_closed, disc in levels
+        ],
     }
 
-    if args.format == "json":
-        _emit(args, canonical_json(payload))
-    elif args.format == "csv":
-        lines = ["n,re_phi,im_phi,f,log_f_factorial,re_phi_closed,im_phi_closed"]
-        for n in range(n_max + 1):
-            phi = table.phi(n)
-            closed_re = _fmt_float(closed[n].real) if closed is not None else ""
-            closed_im = _fmt_float(closed[n].imag) if closed is not None else ""
-            lines.append(
-                f"{n},{_fmt_float(phi.real)},{_fmt_float(phi.imag)},"
-                f"{_fmt_float(table.f(n))},{_fmt_float(table.log_f_factorial(n))},"
-                f"{closed_re},{closed_im}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        body = []
-        for n in range(n_max + 1):
-            phi = table.phi(n)
-            row = [str(n), _human(phi.real), _human(phi.imag),
-                   _human(table.f(n)), _human(table.log_f_factorial(n))]
-            if closed is not None:
-                row += [_human(closed[n].real), _human(rows[n]["discrepancy"])]
-            else:
-                row += ["n/a", "n/a"]
-            body.append(row)
-        headers = ["n", "Re phi", "Im phi", "f", "log f!", "Re phi (prod)", "disc"]
-        text = _render_table(headers, body)
+    def render(fmt: str) -> str:
+        if fmt == "csv":
+            return _csv("n,re_phi,im_phi,f,log_f_factorial,re_phi_closed,im_phi_closed", (
+                f"{n},{_fmt_float(phi.real)},{_fmt_float(phi.imag)},{_fmt_float(f)},{_fmt_float(log_fact)},"
+                + (f"{_fmt_float(pc.real)},{_fmt_float(pc.imag)}" if pc is not None else ",")
+                for n, phi, f, log_fact, pc, _ in levels
+            ))
+        body = [
+            [str(n), _human(phi.real), _human(phi.imag), _human(f), _human(log_fact),
+             *([_human(pc.real), _human(disc)] if pc is not None else ["n/a", "n/a"])]
+            for n, phi, f, log_fact, pc, disc in levels
+        ]
+        text = _render_table(["n", "Re phi", "Im phi", "f", "log f!", "Re phi (prod)", "disc"], body)
         if closed is not None:
             text += f"closed-form max discrepancy: {_human(max_disc)}\n"
         else:
             text += "closed form inapplicable (some F(k) = 0); recurrence only\n"
-        text += f"status: {'pass' if passed else 'FAIL'}\n"
-        _emit(args, text)
-    return EXIT_OK if passed else EXIT_VERDICT_FAIL
+        return text + f"status: {_verdict(passed)}\n"
+
+    return passed, payload, render
 
 
 # --------------------------------------------------------------------------
@@ -389,29 +377,22 @@ def cmd_structure(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def cmd_certify(args) -> int:
-    spec, overrides = _spec_from_args(args)
+def cmd_certify(args, spec, overrides) -> Verdict:
     dim = args.dim if args.dim is not None else int(overrides.get("dim", 32))
     tol = args.tol if args.tol is not None else overrides.get("tol", 1e-10)
-    table = algebra.phi_recurrence(spec, dim + 1)
-    rep = fock.build_rep(table, dim)
+    rep = fock.build_rep(algebra.StructureTable(spec), dim)
     if args.inject_fault:
         rep.a[2 if rep.dim >= 4 else 0] += 0.1
     report = fock.certify(rep, tol)
-    payload = {"algebra": spec.name, **report.as_dict()}
 
-    if args.format == "json":
-        _emit(args, canonical_json(payload))
-    else:
-        rows = [
-            [name, _human(report.residuals[name]), "pass" if report.passes[name] else "FAIL"]
-            for name in fock.RELATION_NAMES
-        ]
+    def render(fmt: str) -> str:
+        rows = [[name, _human(report.residuals[name]), _verdict(report.passes[name])]
+                for name in fock.RELATION_NAMES]
         text = _render_table(["relation", "residual", "verdict"], rows)
         text += f"dim: {report.dim}  subspace: n <= {report.subspace}  tol: {_human(report.tol)}\n"
-        text += f"status: {'pass' if report.passed else 'FAIL'}\n"
-        _emit(args, text)
-    return EXIT_OK if report.passed else EXIT_VERDICT_FAIL
+        return text + f"status: {_verdict(report.passed)}\n"
+
+    return report.passed, {"algebra": spec.name, **report.as_dict()}, render
 
 
 # --------------------------------------------------------------------------
@@ -419,8 +400,7 @@ def cmd_certify(args) -> int:
 # --------------------------------------------------------------------------
 
 
-def cmd_coherent(args) -> int:
-    spec, overrides = _spec_from_args(args)
+def cmd_coherent(args, spec, overrides) -> Verdict:
     if args.z is None:
         raise ConfigError("coherent requires --z")
     z = parse_complex(args.z)
@@ -465,13 +445,9 @@ def cmd_coherent(args) -> int:
             })
         payload["overlap_scan"] = scan
 
-    if args.format == "json":
-        _emit(args, canonical_json(payload))
-    elif args.format == "csv":
-        lines = ["n,p"]
-        lines.extend(f"{n},{_fmt_float(float(p))}" for n, p in enumerate(stats.pmf))
-        _emit(args, "\n".join(lines) + "\n")
-    else:
+    def render(fmt: str) -> str:
+        if fmt == "csv":
+            return _csv("n,p", (f"{n},{_fmt_float(float(p))}" for n, p in enumerate(stats.pmf)))
         rows = [[key, str(payload[key])] for key in (
             "algebra", "z", "truncation", "near_boundary")]
         for key in ("tail_bound", "normalization_log", "pmf_sum", "eigen_residual",
@@ -479,8 +455,9 @@ def cmd_coherent(args) -> int:
             rows.append([key, _human(payload[key])])
         rows.append(["mandel_q", _human(stats.mandel_q) if stats.mandel_q is not None else "undefined"])
         rows.append(["radius", estimate.kind + (f" ({_human(estimate.value)})" if estimate.value else "")])
-        _emit(args, _render_table(["quantity", "value"], rows))
-    return EXIT_OK
+        return _render_table(["quantity", "value"], rows)
+
+    return True, payload, render
 
 
 # --------------------------------------------------------------------------
@@ -501,8 +478,7 @@ def _weight_from_args(args, spec, table) -> moments.WeightSpec:
     return moments.weight_from_expression(args.weight, spec.params, support)
 
 
-def cmd_moments(args) -> int:
-    spec, overrides = _spec_from_args(args)
+def cmd_moments(args, spec, overrides) -> Verdict:
     n_max = args.n_max
     rel_tol = args.tol if args.tol is not None else overrides.get("tol", moments.DEFAULT_REL_TOL)
     table = _table_for(spec, overrides)
@@ -514,30 +490,23 @@ def cmd_moments(args) -> int:
         "n_max": n_max,
         **report.as_dict(),
     }
+    checks = list(zip(report.entries, report.passes))
 
-    if args.format == "json":
-        _emit(args, canonical_json(payload))
-    elif args.format == "csv":
-        lines = ["n,target_log,integral_log,rel_err,panels,converged,pass"]
-        for e in report.entries:
-            ok = e.converged and e.rel_err <= report.rel_tol
-            lines.append(
+    def render(fmt: str) -> str:
+        if fmt == "csv":
+            return _csv("n,target_log,integral_log,rel_err,panels,converged,pass", (
                 f"{e.n},{_fmt_float(e.target_log)},{_fmt_float(e.integral_log)},"
                 f"{_fmt_float(e.rel_err)},{e.panels},{str(e.converged).lower()},{str(ok).lower()}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        rows = [
-            [str(e.n), _human(e.target_log), _human(e.integral_log), _human(e.rel_err),
-             "pass" if (e.converged and e.rel_err <= report.rel_tol) else "FAIL"]
-            for e in report.entries
-        ]
+                for e, ok in checks
+            ))
+        rows = [[str(e.n), _human(e.target_log), _human(e.integral_log), _human(e.rel_err), _verdict(ok)]
+                for e, ok in checks]
         text = _render_table(["n", "log target", "log integral", "rel err", "verdict"], rows)
         if report.support_warning:
             text += f"warning: {report.support_warning}\n"
-        text += f"status: {'pass' if report.passed else 'FAIL'}\n"
-        _emit(args, text)
-    return EXIT_OK if report.passed else EXIT_VERDICT_FAIL
+        return text + f"status: {_verdict(report.passed)}\n"
+
+    return report.passed, payload, render
 
 
 # --------------------------------------------------------------------------
@@ -604,19 +573,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        spec, overrides = _spec_from_args(args)
+        passed, payload, render = args.handler(args, spec, overrides)
+        _emit(args, canonical_json(payload) if args.format == "json" else render(args.format))
     except (ConfigError, ExprError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OutsideDomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (EvalError, DefoscError) as exc:
+    except DefoscError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_EVAL
+    return EXIT_OK if passed else EXIT_VERDICT_FAIL
 
 
 if __name__ == "__main__":

@@ -283,13 +283,13 @@ def photon_statistics(state: CoherentState) -> PhotonStatistics:
 def uncertainty_product(state: CoherentState, rep: FockRep) -> float:
     """Delta Q * Delta P for quadratures Q = (a+adag)/sqrt2, P = (a-adag)/(i sqrt2).
 
-    Units with hbar = 1.  The representation must extend at least two
-    levels past the state's truncation so that adag acting on the top
-    kept level stays inside the representation.  Each quadrature is
-    applied as two weighted shifts, on the bands ``rep.a`` and
-    ``rep.adag``.
+    Units with hbar = 1.  The representation must extend two levels past
+    the state's truncation, so that adag on the top kept level stays
+    inside it, or one level where the ladder ends at its top (a zero of
+    phi at n0 = dim makes that adag exactly 0).  Each quadrature is
+    applied as two weighted shifts, on the bands ``rep.a`` and ``rep.adag``.
     """
-    if rep.dim < state.truncation + 2:
+    if rep.dim < state.truncation + (1 if rep.table.degeneracy == rep.dim else 2):
         raise DimensionMismatchError(
             f"representation dim {rep.dim} must exceed truncation {state.truncation} by 2"
         )

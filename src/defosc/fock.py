@@ -71,20 +71,26 @@ class FockRep:
 def build_rep(table: StructureTable, d: int) -> FockRep:
     """Build the truncated representation on span{|0>..|D>}.
 
-    ``d`` is clamped below a degeneracy: if phi(n0) = 0 for n0 <= d the
-    ladder ends at |n0 - 1> and the bands shrink accordingly.  abar
-    uses the table's own phases, which keeps abar a = phi(N) exact.
+    The table is grown to level d + 1 first, so that an overflow there
+    raises StructureOverflowError, unless a degeneracy comes first.  ``d``
+    is then clamped below it: if phi(n0) = 0 for n0 <= d the ladder ends
+    at |n0 - 1> and the bands shrink accordingly.  abar uses the table's
+    own phases, which keeps abar a = phi(N) exact.
     """
     if d < 1:
         raise ValueError("d must be at least 1")
-    d = table.effective_dimension(d)
+    try:
+        table.ensure(d + 1)
+    except StructureOverflowError:
+        if table.degeneracy is None:
+            raise
+    if table.degeneracy is not None:
+        d = min(d, table.degeneracy - 1)
     dim = d + 1
-    f_list, phase_list, _ = table.levels(0, dim + 1)
+    f_list, phase_list, _ = table.levels(0, dim)
 
-    f = np.array(f_list[:dim], dtype=float)
-    if not np.all(np.isfinite(f)):
-        raise StructureOverflowError(d)
-    phases = np.array(phase_list[1:dim], dtype=complex)
+    f = np.array(f_list, dtype=float)
+    phases = np.array(phase_list[1:], dtype=complex)
 
     roots = np.sqrt(f[1:])  # roots[k] = sqrt(f(k+1))
     return FockRep(dim, table, roots.astype(complex), roots.astype(complex), phases * roots)

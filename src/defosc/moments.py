@@ -193,8 +193,13 @@ class MomentReport:
     support_warning: str | None
 
     @property
+    def passes(self) -> tuple[bool, ...]:
+        """Each moment's verdict: converged, and within ``rel_tol``."""
+        return tuple(e.converged and e.rel_err <= self.rel_tol for e in self.entries)
+
+    @property
     def passed(self) -> bool:
-        return all(e.converged and e.rel_err <= self.rel_tol for e in self.entries)
+        return all(self.passes)
 
     def as_dict(self) -> dict:
         return {
@@ -209,9 +214,9 @@ class MomentReport:
                     "rel_err": e.rel_err,
                     "panels": e.panels,
                     "converged": e.converged,
-                    "pass": e.converged and e.rel_err <= self.rel_tol,
+                    "pass": ok,
                 }
-                for e in self.entries
+                for e, ok in zip(self.entries, self.passes)
             ],
             "pass": self.passed,
         }

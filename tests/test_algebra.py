@@ -221,10 +221,12 @@ class TestDegeneracy:
             assert table.degeneracy == 4
             assert table.phi(4) == 0j
 
-    def test_effective_dimension_clamps(self, degenerate_spec):
-        table = phi_recurrence(degenerate_spec, 8)
-        assert table.effective_dimension(10) == 3
-        assert table.effective_dimension(2) == 2
+    def test_snap_measures_cancellation_only(self):
+        # the harmonic ladder times 1e-16 has no zero: phi(n) = n * 1e-16
+        table = phi_recurrence(make_spec("tiny", "1", "1e-16"), 20)
+        assert table.degeneracy is None
+        for n in range(21):
+            assert table.f(n) == pytest.approx(n * 1e-16, rel=1e-14)
 
 
 class TestOverflow:

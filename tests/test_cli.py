@@ -420,6 +420,35 @@ class TestMomentsCommand:
         assert len(lines) == 4
 
 
+class TestDegenerateLadders:
+    def write(self, tmp_path, f_source, g_source):
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"name": "s", "F": f_source, "G": g_source}))
+        return ["--config", str(config)]
+
+    def test_zero_before_overflow_certifies(self, capsys, tmp_path):
+        spec = self.write(tmp_path, "0.5 + 1e308*exp(-1000*(n-70)^2)", "1 - 2*exp(-1000*(n-60)^2)")
+        code, out, err = run_cli(capsys, ["certify", *spec, "--dim", "100", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["dim"] == 61
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_coherent_on_a_ladder_ending_at_the_top(self, capsys, tmp_path, fmt):
+        spec = self.write(tmp_path, "1", "3 - n")
+        code, out, err = run_cli(capsys, ["coherent", *spec, "--z", "1.5", "--format", fmt])
+        assert (code, err) == (0, "")
+        if fmt == "csv":
+            assert len(out.splitlines()) == 1 + 7  # header and levels 0..6
+
+    def test_scaled_harmonic_ladder_is_not_degenerate(self, capsys, tmp_path):
+        # G = 1e-16 scales the harmonic ladder; the state at z = 1e-8 is the
+        # harmonic state at z = 1
+        spec = self.write(tmp_path, "1", "1e-16")
+        code, out, err = run_cli(capsys, ["coherent", *spec, "--z", "1e-8", "--format", "json"])
+        assert (code, err) == (0, "")
+        assert abs(json.loads(out)["mean_n"] - 1.0) <= 1e-13
+
+
 class TestGoldenFiles:
     """Byte-compare canonical JSON for the four verbs on catalog fixtures."""
 

@@ -476,6 +476,21 @@ class TestUncertaintyProduct:
         with pytest.raises(DimensionMismatchError):
             uncertainty_product(state, build_rep(harmonic_table, state.truncation))
 
+    def test_ladder_ending_at_the_top_needs_one_level(self):
+        # phi = 0, 3, 5, 6, 6, 5, 3, 0: the ladder has 7 levels, and adag on
+        # the top one is exactly 0
+        table = StructureTable(make_spec("deg", "1", "3 - n"))
+        state = make_state(table, 1.5)
+        rep = build_rep(table, state.truncation + 1)
+        assert (state.truncation, rep.dim, table.degeneracy) == (6, 7, 7)
+        _, a, adag, _ = dense_matrices(rep)
+        vec = state.vector(rep.dim)
+        variances = []
+        for op in ((a + adag) / math.sqrt(2), (a - adag) / (1j * math.sqrt(2))):
+            image = op @ vec
+            variances.append(np.vdot(image, image).real - np.vdot(vec, image).real ** 2)
+        assert uncertainty_product(state, rep) == pytest.approx(math.sqrt(variances[0] * variances[1]), rel=1e-14)
+
 
 # ---------------------------------------------------------------------------
 # cross-cutting invariants

@@ -8,13 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defosc.algebra import make_spec, phi_recurrence
+from defosc.algebra import StructureTable, make_spec, phi_recurrence
 from defosc.catalog import builtin_spec
 from defosc.coherent import eigen_residual, make_state, uncertainty_product
+from defosc.errors import StructureOverflowError
 from defosc.fock import RELATION_NAMES, build_rep, certify
 
 from conftest import CATALOG_PARAMS
 from dense_certify import dense_certify, dense_matrices
+
+# F and G with phi(61) = 0 and an overflow of |phi| at n = 71
+ZERO_THEN_OVERFLOW = ("0.5 + 1e308*exp(-1000*(n-70)^2)", "1 - 2*exp(-1000*(n-60)^2)")
 
 
 class TestBuildRep:
@@ -58,6 +62,35 @@ class TestBuildRep:
         table = phi_recurrence(degenerate_spec, 8)
         rep = build_rep(table, 10)
         assert rep.dim == 4  # states |0..3>; phi(4) = 0 ends the ladder
+
+    def test_clamps_below_degeneracy(self, degenerate_spec):
+        table = phi_recurrence(degenerate_spec, 8)
+        assert build_rep(table, 10).dim - 1 == 3
+        assert build_rep(table, 2).dim - 1 == 2
+
+    @pytest.mark.parametrize("f_source,g_source", [
+        ("1", "1"), ("1", "3 - 2*n"), ("1", "3 - n"), ("1 - n", "1"), ("1", "1e-16"), ZERO_THEN_OVERFLOW,
+    ])
+    @pytest.mark.parametrize("d", [1, 2, 5, 10, 100])
+    def test_fresh_table_matches_pregrown(self, f_source, g_source, d):
+        # a fresh table must find a degeneracy that it has not tabulated yet
+        spec = make_spec("s", f_source, g_source)
+        fresh = build_rep(StructureTable(spec), d)
+        pregrown = build_rep(phi_recurrence(spec, min(d + 1, 70)), d)
+        assert fresh.dim == pregrown.dim
+        for band in ("a", "adag", "abar"):
+            assert np.array_equal(getattr(fresh, band), getattr(pregrown, band))
+
+    def test_zero_before_overflow_clamps(self):
+        # phi(61) = 0, and |phi| overflows at n = 71, inside the requested range
+        rep = build_rep(StructureTable(make_spec("zo", *ZERO_THEN_OVERFLOW)), 100)
+        assert rep.dim == 61
+        assert certify(rep).passed
+
+    def test_overflow_past_the_top_level_raises(self):
+        # arik-coon q = 2 overflows at n = 1024: level d + 1 is read too
+        with pytest.raises(StructureOverflowError):
+            build_rep(StructureTable(builtin_spec("arik-coon", {"q": 2.0})), 1023)
 
     def test_rejects_trivial_dimension(self, harmonic_table):
         with pytest.raises(ValueError):
